@@ -18,6 +18,14 @@ accommodate another attempt as
 :class:`~repro.errors.DeadlineExceededError` — typed errors, never raw
 socket exceptions.
 
+Predict calls send the image as a binary ``.npy`` body
+(``Content-Type: application/x-npy``) with ``model`` and ``deadline_ms`` as
+query parameters; the server also accepts JSON, which :meth:`_request` still
+sends for dict bodies.  :class:`http.client.HTTPConnection` sets
+``TCP_NODELAY`` on every connect, reconnects after a retry included, so a
+request is never held back by Nagle's algorithm on this side; the server
+sets it on its end.
+
 Tail-latency hedging is available via ``hedge_after_s``: when an attempt
 has not answered within that budget, a duplicate request races it on a
 second connection and the first response wins — the classic p99 defence
@@ -27,6 +35,7 @@ for a server that may be mid-restart behind one of its workers.
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import queue
 import random
@@ -48,6 +57,12 @@ __all__ = ["PredictClient", "PredictResult", "ServeHTTPError"]
 #: connect time; ``http.client.HTTPException`` covers truncated/invalid
 #: responses (e.g. ``IncompleteRead``) from a dying server.
 _RETRYABLE = (http.client.HTTPException, ConnectionError, TimeoutError, OSError)
+
+
+def _encode_npy(array: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=False)
+    return buf.getvalue()
 
 
 class ServeHTTPError(Exception):
@@ -161,22 +176,32 @@ class PredictClient:
         return delay * (1.0 + self.backoff_jitter * self._jitter_rng.random())
 
     def _request(
-        self, path: str, body: "dict | None" = None, deadline_s: "float | None" = None
+        self,
+        path: str,
+        body: "dict | np.ndarray | None" = None,
+        deadline_s: "float | None" = None,
     ) -> dict:
+        """GET ``path`` (no body) or POST ``body``: a dict as JSON, an array as ``.npy``."""
+        if body is None:
+            data, headers = None, {}
+        elif isinstance(body, np.ndarray):
+            data, headers = _encode_npy(body), {"Content-Type": "application/x-npy"}
+        else:
+            data = json.dumps(body).encode("utf-8")
+            headers = {"Content-Type": "application/json"}
         if self.hedge_after_s is None:
-            return self._attempt_loop(path, body, deadline_s)
-        return self._hedged_request(path, body, deadline_s)
+            return self._attempt_loop(path, data, headers, deadline_s)
+        return self._hedged_request(path, data, headers, deadline_s)
 
     def _attempt_loop(
         self,
         path: str,
-        body: "dict | None",
+        data: "bytes | None",
+        headers: "dict[str, str]",
         deadline_s: "float | None",
         close_after: bool = False,
     ) -> dict:
-        data = None if body is None else json.dumps(body).encode("utf-8")
         method = "GET" if data is None else "POST"
-        headers = {"Content-Type": "application/json"} if data is not None else {}
         deadline = None if deadline_s is None else time.monotonic() + deadline_s
         try:
             for attempt in range(self.max_retries + 1):
@@ -218,7 +243,11 @@ class PredictClient:
         return payload
 
     def _hedged_request(
-        self, path: str, body: "dict | None", deadline_s: "float | None"
+        self,
+        path: str,
+        data: "bytes | None",
+        headers: "dict[str, str]",
+        deadline_s: "float | None",
     ) -> dict:
         """Race a duplicate request once the first exceeds ``hedge_after_s``.
 
@@ -232,7 +261,8 @@ class PredictClient:
 
         def run(tag: str) -> None:
             try:
-                results.put((tag, None, self._attempt_loop(path, body, deadline_s, close_after=True)))
+                answer = self._attempt_loop(path, data, headers, deadline_s, close_after=True)
+                results.put((tag, None, answer))
             except BaseException as exc:  # delivered to the caller below
                 results.put((tag, exc, None))
 
@@ -265,6 +295,16 @@ class PredictClient:
 
     # -- prediction ------------------------------------------------------------
 
+    def _predict(
+        self, array: np.ndarray, model: "str | None", deadline_ms: "float | None"
+    ) -> dict:
+        params = {"model": model, "deadline_ms": deadline_ms}
+        query = urllib.parse.urlencode({k: v for k, v in params.items() if v is not None})
+        return self._request(
+            f"/v1/predict?{query}" if query else "/v1/predict", array,
+            deadline_s=None if deadline_ms is None else deadline_ms / 1000.0,
+        )
+
     def predict(
         self,
         image,
@@ -277,15 +317,12 @@ class PredictClient:
         request once it expires, and the client stops retrying when the next
         backoff would overrun it.
         """
-        body: dict = {"image": np.asarray(image).tolist()}
-        if model is not None:
-            body["model"] = model
-        if deadline_ms is not None:
-            body["deadline_ms"] = deadline_ms
-        out = self._request(
-            "/v1/predict", body,
-            deadline_s=None if deadline_ms is None else deadline_ms / 1000.0,
-        )
+        image = np.asarray(image)
+        if image.ndim == 4:  # the server would read an NCHW body as a batch
+            raise ValueError(
+                f"predict takes one CHW image, got shape {image.shape}; use predict_batch"
+            )
+        out = self._predict(image, model, deadline_ms)
         return PredictResult(
             model=out["model"],
             logits=np.asarray(out["logits"], dtype=np.float64),
@@ -299,15 +336,7 @@ class PredictClient:
         deadline_ms: "float | None" = None,
     ) -> PredictResult:
         """Predict a list/array of CHW images in one HTTP request."""
-        body: dict = {"images": [np.asarray(img).tolist() for img in images]}
-        if model is not None:
-            body["model"] = model
-        if deadline_ms is not None:
-            body["deadline_ms"] = deadline_ms
-        out = self._request(
-            "/v1/predict", body,
-            deadline_s=None if deadline_ms is None else deadline_ms / 1000.0,
-        )
+        out = self._predict(np.stack(list(images)), model, deadline_ms)
         return PredictResult(
             model=out["model"],
             logits=np.asarray(out["logits"], dtype=np.float64),

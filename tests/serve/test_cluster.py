@@ -203,6 +203,18 @@ class TestHTTPFrontEnd:
             client._request("/v1/predict", {"image": image.tolist(), "priority": 7})
         assert info.value.status == 400
 
+    def test_priority_rides_the_npy_query_string(self, server):
+        _, client, service = server
+        image = sample_images(1, seed=44)[0]
+        out = client._request("/v1/predict?priority=batch", image)
+        assert out["prediction"] == int(
+            np.argmax(service.get("net4").engine.predict_logits(image[None])[0])
+        )
+        with pytest.raises(ServeHTTPError) as info:
+            client._request("/v1/predict?priority=urgent", image)
+        assert info.value.status == 400
+        assert "urgent" in str(info.value)
+
     def test_tenant_quota_maps_to_429(self, server):
         _, client, _ = server
         image = sample_images(1, seed=43)[0].tolist()
