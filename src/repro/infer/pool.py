@@ -133,23 +133,11 @@ def run_sharded(
 
     Returns the stacked outputs in dataset order regardless of worker
     completion order.
-
-    When the plan runs with intra-op threads (``plan.intra_threads >= 2``)
-    the effective parallelism per shard is already ``intra_threads`` CPUs,
-    so the shard-level worker count is clamped to
-    ``effective_cpus // intra_threads`` (floor 1) — otherwise ``workers *
-    intra_threads`` threads would thrash a smaller CPU set.  Results are
-    unaffected: both levels are deterministic.
     """
     if backend not in _BACKENDS:
         raise ConfigurationError(f"unknown pool backend {backend!r}; use one of {_BACKENDS}")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    intra = int(getattr(plan, "intra_threads", 0) or 0)
-    if intra >= 2 and workers > 1:
-        from repro.utils.cpu import effective_cpus
-
-        workers = min(workers, max(1, effective_cpus() // intra))
     slices = shard_slices(len(images), batch_size)
     runner = _run_threaded if backend == "thread" else _run_processes
     out: np.ndarray | None = None

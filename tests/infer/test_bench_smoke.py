@@ -101,39 +101,6 @@ def test_native_sweep_smoke(tmp_path):
 
 
 @pytest.mark.infer_bench
-def test_thread_sweep_smoke(tmp_path):
-    """The --thread-sweep section: serial vs tiled threaded kernels, at
-    smoke scale (net 4, threads {1, 2}).  Bitwise invariance across counts
-    is the acceptance bar; speedups are informational (bounded by the
-    host's effective CPUs, which the summary records).  Passes with or
-    without a toolchain — without one, every count runs numpy and
-    invariance holds trivially."""
-    sweep = bench_infer.run_thread_sweep(reps=1, smoke=True)
-
-    rows = sweep["thread_sweep"]
-    assert {row["network_id"] for row in rows} == {4}
-    for row in rows:
-        assert row["bitwise_equal_vs_serial"] is True
-        for spec in row["batches"].values():
-            for dt in ("float64", "int8"):
-                assert spec[dt]["serial_s"] > 0
-                assert set(spec[dt]["threads"]) == {"1", "2"}
-                for cell in spec[dt]["threads"].values():
-                    assert cell["time_s"] > 0
-        assert set(row["gemm_choices"]) <= {"blas", "micro"}
-    summary = sweep["thread_summary"]
-    assert summary["all_bitwise_equal_vs_serial"] is True
-    assert summary["effective_cpus"] >= 1
-    # A CPU-limited host must say so instead of claiming scaling headroom.
-    if summary["effective_cpus"] < 2:
-        assert summary["cpu_limited"] is True and summary["cpu_limit_note"]
-
-    out = tmp_path / "BENCH_threads.json"
-    out.write_text(json.dumps(sweep))  # round-trips: everything is plain JSON
-    assert json.loads(out.read_text())["thread_sweep"]
-
-
-@pytest.mark.infer_bench
 def test_int_sweep_smoke(tmp_path):
     """The --int-sweep section: int8 parity, determinism and measured op
     counts, at smoke scale (nets 1 and 4)."""

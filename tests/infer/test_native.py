@@ -1,8 +1,9 @@
 """Native C backend: bitwise parity, fallback ladder and cache plumbing.
 
-The acceptance bar from the issue: every native kernel variant must be
-*bitwise* identical to the numpy codegen it replaces — 8 Table-1 configs
-x {dense, shift_plane} x {float64, int8} — and the backend must degrade
+The one native contract: every native kernel variant must be *bitwise*
+identical to the numpy codegen it replaces — the 8 Table-1 configs plus
+generated nets outside those sizes, x {dense, shift_plane} x {float64,
+int8} — and the backend must degrade
 to numpy (never crash) when the toolchain is missing or a cached binary
 is corrupt.  Parity runs even on a toolchain-free host (both sides are
 then numpy and trivially equal); the "native actually executed"
@@ -20,11 +21,29 @@ from repro.infer import InferenceEngine, PlanConfig
 from repro.infer import kernels
 from repro.infer.intq.build import IntConvOp, IntLinearOp
 from repro.infer.native import binding, toolchain
+from repro.models.configs import NetworkConfig
+from repro.models.registry import build_from_config
+from repro.quant.schemes import paper_schemes
 
-from tests.infer.conftest import build_small_network, sample_images
+from tests.infer.conftest import build_small_network, randomize_bn_stats, sample_images
 
 ALL_CONFIGS = tuple(range(1, 9))
 KERNELS = ("dense", "shift_plane")
+
+# Generated nets outside the Table-1 sizes: (structure, depth, width, px,
+# scheme).  vgg7-w8-8px-Full is the shape on which the removed tiled
+# kernels disagreed with the serial ones.  The int8 program needs dyadic
+# weights, so its nets use LightNN/FLightNN schemes instead of Full.
+GENERATED_FLOAT64 = {
+    "vgg7-w8-8px-Full": ("vgg", 7, 8, 8, "Full"),
+    "resnet18-w8-9px-Full": ("resnet", 18, 8, 9, "Full"),
+    "vgg3-w4-13px-L-2": ("vgg", 3, 4, 13, "L-2"),
+}
+GENERATED_INT8 = {
+    "vgg3-w4-13px-L-2": ("vgg", 3, 4, 13, "L-2"),
+    "resnet18-w12-11px-L-2": ("resnet", 18, 12, 11, "L-2"),
+    "vgg5-w12-9px-FL_b": ("vgg", 5, 12, 9, "FL_b"),
+}
 
 NATIVE_OK = binding.available()
 needs_toolchain = pytest.mark.skipif(
@@ -45,16 +64,29 @@ def _traced_backend_counts(engine) -> dict:
     return counts
 
 
+def _net_and_images(network, n: int, generated: dict):
+    """A Table-1 net (int id) or a generated one (key of ``generated``),
+    with ``n`` matching input images."""
+    if isinstance(network, int):
+        return build_small_network(network), sample_images(n, seed=network)
+    structure, depth, width, px, scheme = generated[network]
+    config = NetworkConfig(0, structure, depth, width, "generated", 0.0)
+    model = build_from_config(config, paper_schemes()[scheme], 10, px, rng=depth)
+    randomize_bn_stats(model, np.random.default_rng(width))
+    model.eval()
+    images = np.random.default_rng(px).normal(0.0, 1.0, (n, 3, px, px))
+    return model, images
+
+
 # -- bitwise parity -----------------------------------------------------------
 
 
 class TestBitwiseParity:
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("network_id", ALL_CONFIGS)
+    @pytest.mark.parametrize("network_id", ALL_CONFIGS + tuple(GENERATED_FLOAT64))
     def test_float64(self, network_id, kernel):
         """backend="native" reproduces backend="numpy" byte-for-byte."""
-        model = build_small_network(network_id)
-        images = sample_images(5, seed=network_id)
+        model, images = _net_and_images(network_id, 5, GENERATED_FLOAT64)
         want = InferenceEngine(
             model, config=PlanConfig(kernel=kernel, backend="numpy")
         ).predict_logits(images)
@@ -68,11 +100,10 @@ class TestBitwiseParity:
             assert counts.get("native", 0) > 0, counts
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("network_id", ALL_CONFIGS)
+    @pytest.mark.parametrize("network_id", ALL_CONFIGS + tuple(GENERATED_INT8))
     def test_int8(self, network_id, kernel):
         """The integer program's native kernels are exact: same bits."""
-        model = build_small_network(network_id)
-        images = sample_images(4, seed=network_id)
+        model, images = _net_and_images(network_id, 4, GENERATED_INT8)
         want = InferenceEngine(
             model, config=PlanConfig(dtype="int8", kernel=kernel, backend="numpy")
         ).predict_logits(images)
@@ -97,6 +128,46 @@ class TestBitwiseParity:
         ref = engine.predict_logits(images, batch_size=16)
         for bs in (1, 3, 16):
             assert _bitwise_equal(engine.predict_logits(images, batch_size=bs), ref)
+
+    def test_repeated_runs_share_one_digest(self):
+        """Same engine, same batch, many runs: a single output digest."""
+        model = build_small_network(4)
+        images = sample_images(8, seed=7)
+        engine = InferenceEngine(model, config=PlanConfig(backend="native"))
+        digests = {engine.predict_logits(images).tobytes() for _ in range(5)}
+        assert len(digests) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+class TestForkHygiene:
+    def test_child_after_fork_recomputes_identical_bits(self):
+        """A forked child (how cluster workers start) reuses the parent's
+        bound native kernels and must produce the parent's exact bytes."""
+        model = build_small_network(4)
+        images = sample_images(6, seed=11)
+        engine = InferenceEngine(model, config=PlanConfig(backend="native"))
+        parent_out = engine.predict_logits(images).copy()
+
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child
+            status = 1
+            try:
+                ok = _bitwise_equal(engine.predict_logits(images), parent_out)
+                os.write(w, b"1" if ok else b"0")
+                status = 0 if ok else 2
+            finally:
+                os.close(w)
+                os._exit(status)
+        os.close(w)
+        try:
+            flag = os.read(r, 1)
+            _, wait_status = os.waitpid(pid, 0)
+        finally:
+            os.close(r)
+        assert flag == b"1"
+        assert os.waitstatus_to_exitcode(wait_status) == 0
+        assert _bitwise_equal(engine.predict_logits(images), parent_out)
 
 
 # -- fallback ladder ----------------------------------------------------------
@@ -239,11 +310,14 @@ class TestAutotunePersistence:
         probe = kernels._AutotuneCache()
         path = probe.disk_path()
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write("{not json")
-        fresh = kernels._AutotuneCache()
-        assert fresh.get(("anything",)) is None
-        assert not os.path.exists(path)  # corrupt file unlinked
+        # Not JSON at all; and valid JSON holding a non-dict entry.
+        for body in ("{not json", '{"(\'x\',)": 5}'):
+            with open(path, "w") as fh:
+                fh.write(body)
+            fresh = kernels._AutotuneCache()
+            assert fresh.get(("anything",)) is None
+            assert fresh.get(("x",)) is None
+            assert not os.path.exists(path)  # corrupt file unlinked
 
     def test_clear_removes_decision_file(self):
         cache = kernels._AutotuneCache()
