@@ -1,29 +1,21 @@
-"""Intra-op threaded native runtime: bitwise invariance and pool hygiene.
+"""Thread-count invariance of the engine's batch-sharding thread pool.
 
-The acceptance bar from the issue: ``PlanConfig(threads=N)`` must produce
-**bitwise identical** engine outputs for every thread count in {1, 2, 4} —
-across all 8 Table-1 configs, both kernels (dense / shift_plane) and both
-compute dtypes (float64 / int8) — plus repeated-run determinism, a clean
-pool restart after ``fork``, and graceful single-thread fallback when the
-pool cannot start.
-
-On a toolchain-free host the threaded binds decline and every thread count
-runs the numpy codegen — the invariance assertions still hold trivially,
-while the "threaded kernels actually executed" assertions are gated on the
-runtime being available.
+Kernels run serially; the only threads left are the ``"thread"`` backend
+of :func:`~repro.infer.pool.run_sharded`, which runs whole batches
+concurrently.  Its contract: ``predict_logits(..., workers=N)`` is
+**bitwise identical** to the single-threaded call for every worker count
+in {1, 2, 4} — across all 8 Table-1 configs, both kernels (dense /
+shift_plane) and both compute dtypes (float64 / int8) — and at any batch
+size.  With a C toolchain the shards run the native kernels from several
+threads at once; without one they run the numpy codegen.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.infer import InferenceEngine, PlanConfig
-from repro.infer.native import binding
-from repro.infer.native.threading import runtime
 
 from tests.infer.conftest import build_small_network, sample_images
 
@@ -31,234 +23,42 @@ ALL_CONFIGS = tuple(range(1, 9))
 KERNELS = ("dense", "shift_plane")
 THREAD_COUNTS = (1, 2, 4)
 
-MT_OK = binding.available() and runtime.available()
-needs_runtime = pytest.mark.skipif(
-    not MT_OK, reason="no threaded native runtime on this host"
-)
-
 
 def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     """Byte-level equality (``==`` would let ``-0.0 == 0.0`` hide a drift)."""
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _mt_nodes(engine) -> int:
-    """Traced nodes that bound a threaded kernel (record carries "threads")."""
-    total = 0
-    for prog in engine.plan._traced.values():
-        total += sum(1 for rec in prog.node_backends.values() if "threads" in rec)
-    return total
-
-
-# -- engine-level bitwise invariance ------------------------------------------
-
-
 class TestThreadCountInvariance:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("network_id", ALL_CONFIGS)
     def test_float64(self, network_id, kernel):
-        """threads=1/2/4 and the legacy serial path agree byte-for-byte."""
+        """workers=1/2/4 and the serial call agree byte-for-byte."""
         model = build_small_network(network_id)
         images = sample_images(5, seed=network_id)
-        serial = InferenceEngine(
-            model, config=PlanConfig(kernel=kernel)
-        ).predict_logits(images)
-        outs = {}
+        engine = InferenceEngine(model, config=PlanConfig(kernel=kernel))
+        serial = engine.predict_logits(images, batch_size=2)
         for t in THREAD_COUNTS:
-            engine = InferenceEngine(model, config=PlanConfig(kernel=kernel, threads=t))
-            outs[t] = engine.predict_logits(images)
-            assert _bitwise_equal(outs[t], serial), f"threads={t} drifted from serial"
-            if MT_OK and t == THREAD_COUNTS[-1]:
-                assert _mt_nodes(engine) > 0
-        assert _bitwise_equal(outs[1], outs[2])
-        assert _bitwise_equal(outs[1], outs[4])
+            out = engine.predict_logits(images, batch_size=2, workers=t)
+            assert _bitwise_equal(out, serial), f"workers={t} drifted from serial"
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("network_id", ALL_CONFIGS)
     def test_int8(self, network_id, kernel):
-        """The integer program's threaded kernels are exact: same bits."""
+        """The integer program under the thread pool is exact: same bits."""
         model = build_small_network(network_id)
         images = sample_images(4, seed=network_id)
-        serial = InferenceEngine(
-            model, config=PlanConfig(dtype="int8", kernel=kernel)
-        ).predict_logits(images)
-        outs = {
-            t: InferenceEngine(
-                model, config=PlanConfig(dtype="int8", kernel=kernel, threads=t)
-            ).predict_logits(images)
-            for t in THREAD_COUNTS
-        }
+        engine = InferenceEngine(model, config=PlanConfig(dtype="int8", kernel=kernel))
+        serial = engine.predict_logits(images, batch_size=1)
         for t in THREAD_COUNTS:
-            assert _bitwise_equal(outs[t], serial), f"threads={t} drifted from serial"
-
-    def test_repeated_runs_share_one_digest(self):
-        """Same engine, same batch, many runs: a single output digest."""
-        model = build_small_network(4)
-        images = sample_images(8, seed=7)
-        engine = InferenceEngine(model, config=PlanConfig(threads=2))
-        digests = {engine.predict_logits(images).tobytes() for _ in range(5)}
-        assert len(digests) == 1
+            out = engine.predict_logits(images, batch_size=1, workers=t)
+            assert _bitwise_equal(out, serial), f"workers={t} drifted from serial"
 
     def test_batch_size_does_not_change_threaded_bits(self):
-        """Per-shape rebinding at any batch size keeps the same bytes."""
+        """Sharding at any batch size keeps the serial bytes."""
         model = build_small_network(4)
         images = sample_images(16, seed=2)
-        engine = InferenceEngine(model, config=PlanConfig(threads=2))
+        engine = InferenceEngine(model)
         ref = engine.predict_logits(images, batch_size=16)
         for bs in (1, 3, 16):
-            assert _bitwise_equal(engine.predict_logits(images, batch_size=bs), ref)
-
-
-# -- PlanConfig / resolution semantics ----------------------------------------
-
-
-class TestThreadsConfig:
-    def test_default_is_auto_and_resolves_serial_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
-        assert PlanConfig().threads == "auto"
-        assert runtime.resolve_threads("auto") == 0
-
-    def test_auto_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUM_THREADS", "3")
-        assert runtime.resolve_threads("auto") == 3
-        monkeypatch.setenv("REPRO_NUM_THREADS", "1")  # < 2 keeps legacy kernels
-        assert runtime.resolve_threads("auto") == 0
-        monkeypatch.setenv("REPRO_NUM_THREADS", "banana")
-        assert runtime.resolve_threads("auto") == 0
-
-    def test_explicit_counts(self):
-        assert runtime.resolve_threads(1) == 1
-        assert runtime.resolve_threads(4) == 4
-        with pytest.raises(ValueError):
-            runtime.resolve_threads(0)
-        with pytest.raises(ValueError):
-            runtime.resolve_threads(-2)
-
-    @pytest.mark.parametrize("bad", (0, -1, "two", 1.5, True))
-    def test_config_rejects_bad_values(self, bad):
-        with pytest.raises(ConfigurationError):
-            PlanConfig(threads=bad)
-
-    def test_plan_records_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
-        from repro.infer.plan import compile_network
-
-        model = build_small_network(4)
-        plan = compile_network(model, config=PlanConfig(threads=2))
-        assert plan.intra_threads == 2
-        summary = plan.summary()
-        assert summary["intra_threads"] == 2
-        assert summary["config"]["threads"] == 2
-        default = compile_network(model, config=PlanConfig())
-        assert default.intra_threads == 0
-
-
-# -- runtime unit behavior ----------------------------------------------------
-
-
-@needs_runtime
-class TestRuntime:
-    def test_pool_grows_and_clamps(self):
-        # The pool only ever grows (earlier binds may have sized it already)
-        # and thread creation may fail — so the contract is: the returned
-        # live count matches pool_size() and respects the hard cap.
-        n = runtime.ensure_pool(2)
-        assert n == runtime.pool_size()
-        assert 0 <= n <= runtime.MAX_WORKERS
-        assert runtime.ensure_pool(runtime.MAX_WORKERS + 50) <= runtime.MAX_WORKERS
-
-    def test_stats_shape(self):
-        runtime.ensure_pool(1)
-        st = runtime.stats(initialize=True)
-        assert st["available"] is True
-        assert st["tiles_total"] == st["tiles_caller"] + st["tiles_stolen"]
-        assert 0.0 <= st["steal_fraction"] <= 1.0
-
-    def test_stats_does_not_force_compile(self):
-        # A fresh block must always be dict-shaped with "available"; the
-        # non-forcing default is what summary()/metrics call.
-        st = runtime.stats()
-        assert isinstance(st, dict) and "available" in st
-
-    def test_shutdown_and_restart(self):
-        runtime.ensure_pool(2)
-        runtime.shutdown()
-        assert runtime.pool_size() == 0
-        # A dead pool is not an error: the next threaded engine call runs
-        # caller-inline over the same tiles (bitwise identical), and the
-        # pool can be restarted at will.
-        model = build_small_network(4)
-        images = sample_images(4, seed=3)
-        engine = InferenceEngine(model, config=PlanConfig(threads=2))
-        serial = InferenceEngine(model).predict_logits(images)
-        assert _bitwise_equal(engine.predict_logits(images), serial)
-
-
-# -- fork hygiene -------------------------------------------------------------
-
-
-@needs_runtime
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-class TestForkHygiene:
-    def test_child_after_fork_recomputes_identical_bits(self):
-        """A forked child inherits no pthreads; its pool state must reset
-        and threaded plans must still produce the parent's exact bytes."""
-        model = build_small_network(4)
-        images = sample_images(6, seed=11)
-        engine = InferenceEngine(model, config=PlanConfig(threads=2))
-        parent_out = engine.predict_logits(images).copy()
-        assert runtime.ensure_pool(1) >= 0  # pool (maybe) live before fork
-
-        r, w = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # child
-            status = 1
-            try:
-                assert runtime.pool_size() == 0  # after_in_child hook ran
-                child_out = engine.predict_logits(images)
-                ok = _bitwise_equal(child_out, parent_out)
-                os.write(w, b"1" if ok else b"0")
-                status = 0 if ok else 2
-            finally:
-                os.close(w)
-                os._exit(status)
-        os.close(w)
-        try:
-            flag = os.read(r, 1)
-            _, wait_status = os.waitpid(pid, 0)
-        finally:
-            os.close(r)
-        assert flag == b"1"
-        assert os.waitstatus_to_exitcode(wait_status) == 0
-        # Parent's pool and outputs are unaffected by the child's lifecycle.
-        assert _bitwise_equal(engine.predict_logits(images), parent_out)
-
-
-# -- pool over-sharding guard -------------------------------------------------
-
-
-class TestShardingInteraction:
-    def test_run_sharded_clamps_workers_under_intra_threads(self, monkeypatch):
-        from repro.infer import pool as shard_pool
-
-        captured = {}
-
-        def fake_runner(plan, images, slices, workers):
-            captured["workers"] = workers
-            for i, s in enumerate(slices):
-                yield i, np.zeros((s.stop - s.start, 2))
-
-        monkeypatch.setattr(shard_pool, "_run_threaded", fake_runner)
-        monkeypatch.setattr(
-            "repro.utils.cpu.effective_cpus", lambda: 4
-        )
-
-        class FakePlan:
-            intra_threads = 2
-
-        shard_pool.run_sharded(FakePlan(), np.zeros((8, 1)), 2, workers=8)
-        assert captured["workers"] == 2  # 4 cpus // 2 intra threads
-
-        FakePlan.intra_threads = 0  # legacy serial kernels: no clamping
-        shard_pool.run_sharded(FakePlan(), np.zeros((8, 1)), 2, workers=8)
-        assert captured["workers"] == 8
+            assert _bitwise_equal(engine.predict_logits(images, batch_size=bs, workers=2), ref)
