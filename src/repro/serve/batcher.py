@@ -2,12 +2,16 @@
 
 Single-image requests enter a bounded FIFO queue and come back as
 :class:`concurrent.futures.Future` objects.  Worker threads coalesce queued
-requests into engine-sized batches: the first request of a forming batch may
-be held for at most ``max_wait_s`` while later arrivals join, so throughput
-approaches the engine's full-batch rate under load while an isolated request
-pays at most the wait window in extra latency.  Results are split back to
-the per-request futures in queue order — request *i* of a batch always
-receives row *i* of that batch's logits.
+requests into engine-sized batches.  Dispatch is work-conserving, Nagle's
+rule (RFC 896) applied to batches: a forming batch is held open only while
+another worker's batch is executing.  A worker that finds the engine idle
+runs whatever is queued at once, up to ``max_batch_size``; otherwise the
+batch closes when the executing batch completes, when it is full, or after
+``max_wait_s``, whichever comes first.  Under load, batches form from the
+requests that queue up while the engine runs, and an isolated request never
+waits for company that cannot arrive.  Results are split back to the
+per-request futures in queue order — request *i* of a batch always receives
+row *i* of that batch's logits.
 
 Overload behaviour is explicit, not emergent: beyond ``queue_depth`` the
 ``full_policy`` either sheds the request immediately
@@ -266,16 +270,19 @@ class MicroBatcher:
     def _worker(self) -> None:
         ctx = self.engine.make_context()
         while True:
-            batch = self._take_batch()
-            if batch is None:
+            taken = self._take_batch()
+            if taken is None:
                 return
+            batch, reason = taken
             if batch:
-                self._run_batch(batch, ctx)
+                self._run_batch(batch, ctx, reason)
 
-    def _take_batch(self) -> "list[_Request] | None":
-        """Dequeue up to ``max_batch_size`` live requests, or ``None`` to exit.
+    def _take_batch(self) -> "tuple[list[_Request], str] | None":
+        """Dequeue up to ``max_batch_size`` live requests and the reason the
+        batch closed (see :data:`~repro.serve.metrics.CLOSE_REASONS`), or
+        ``None`` to exit.
 
-        May return an empty list when every dequeued request had already
+        May return an empty batch when every dequeued request had already
         expired — the caller just loops.
         """
         cfg = self.config
@@ -289,21 +296,35 @@ class MicroBatcher:
                     break
                 self._cond.wait(0.05)
             batch = [self._queue.popleft()]
-            if cfg.max_batch_size > 1:
-                wait_until = time.monotonic() + cfg.max_wait_s
-                while len(batch) < cfg.max_batch_size:
-                    if self._queue:
-                        batch.append(self._queue.popleft())
-                        continue
-                    remaining = wait_until - time.monotonic()
-                    # Don't hold a forming batch during shutdown or pause —
-                    # serve what we have.
-                    if remaining <= 0 or self._stopping or self._paused:
-                        break
-                    self._cond.wait(remaining)
+            wait_until = time.monotonic() + cfg.max_wait_s
+            while True:
+                while self._queue and len(batch) < cfg.max_batch_size:
+                    batch.append(self._queue.popleft())
+                reason = self._close_reason(len(batch), wait_until)
+                if reason is not None:
+                    break
+                # _run_batch's notify_all wakes us when the executing batch ends.
+                self._cond.wait(wait_until - time.monotonic())
             self._inflight += len(batch)
             self._cond.notify_all()  # queue space freed: wake blocked submitters
-        return self._drop_expired(batch)
+        return self._drop_expired(batch), reason
+
+    def _close_reason(self, size: int, wait_until: float) -> "str | None":
+        """Why a forming batch of ``size`` closes now, or ``None`` to hold it.
+
+        Called under ``self._cond``.  The batch is held only while another
+        batch executes (``self._inflight``); an idle engine never waits.
+        """
+        if size >= self.config.max_batch_size:
+            return "full"
+        # Don't hold a forming batch during shutdown or pause — serve what we have.
+        if self._stopping or self._paused:
+            return "stop"
+        if not self._inflight:
+            return "idle"
+        if time.monotonic() >= wait_until:
+            return "window"
+        return None
 
     def _drop_expired(self, batch: "list[_Request]") -> "list[_Request]":
         now = time.monotonic()
@@ -319,8 +340,8 @@ class MicroBatcher:
                 live.append(req)
         return live
 
-    def _run_batch(self, batch: "list[_Request]", ctx) -> None:
-        self.metrics.record_batch(len(batch))
+    def _run_batch(self, batch: "list[_Request]", ctx, reason: str) -> None:
+        self.metrics.record_batch(len(batch), reason)
         try:
             images = np.stack([req.image for req in batch])
             # Copy detaches the logits from ctx's scratch buffer, so futures

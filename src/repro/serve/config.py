@@ -20,11 +20,13 @@ class BatcherConfig:
             are coalesced into one engine batch.  ``1`` disables
             micro-batching (every request executes alone — the baseline the
             serving benchmark compares against).
-        max_wait_s: How long the batcher may hold the *first* request of a
-            forming batch while waiting for more arrivals.  Bounds the
-            latency cost of batching: an isolated request is delayed at most
-            this long.  ``0`` never waits — it greedily takes whatever is
-            already queued.
+        max_wait_s: Upper bound on how long a forming batch is held open
+            while *another* worker's batch executes.  Dispatch is
+            work-conserving (Nagle's rule for batches): a worker that finds
+            the engine idle runs whatever is queued at once, and a held
+            batch closes as soon as the executing one completes.  With a
+            single worker nothing ever waits on this bound.  ``0`` never
+            holds — it greedily takes whatever is already queued.
         queue_depth: High-water mark of the request queue.  Arrivals beyond
             it are handled per ``full_policy``.
         full_policy: ``"reject"`` sheds the request immediately with

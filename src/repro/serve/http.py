@@ -235,8 +235,11 @@ class _Handler(BaseHTTPRequestHandler):
         if name is not None and not isinstance(name, str):
             raise _RequestError(400, '"model" must be a string')
         deadline_ms = fields.get("deadline_ms")
+        # bool is an int subclass: JSON ``true`` must not read as 1 ms.
         if deadline_ms is not None and (
-            not isinstance(deadline_ms, (int, float)) or not 0 < deadline_ms < math.inf
+            isinstance(deadline_ms, bool)
+            or not isinstance(deadline_ms, (int, float))
+            or not 0 < deadline_ms < math.inf
         ):
             raise _RequestError(400, '"deadline_ms" must be a positive number')
         deadline_s = None if deadline_ms is None else deadline_ms / 1000.0
@@ -279,13 +282,15 @@ class _Handler(BaseHTTPRequestHandler):
 def _content_length(header: "str | None") -> int:
     if header is None:
         raise _RequestError(411, "Content-Length required")
-    try:
-        length = int(header)
-    except ValueError:
-        raise _RequestError(400, f"bad Content-Length {header!r}") from None
-    if not 0 < length <= _MAX_BODY_BYTES:
-        raise _RequestError(413, f"body must be 1..{_MAX_BODY_BYTES} bytes, got {length}")
-    return length
+    # RFC 9110 ``1*DIGIT``.  int() alone would also take "+12", " 12 ",
+    # "1_000" and non-ASCII digits such as "١٢".
+    if not (header.isascii() and header.isdigit()):
+        raise _RequestError(400, f"bad Content-Length {header!r}")
+    # Compare digit counts first: int() refuses strings of over 4300 digits.
+    digits = header.lstrip("0") or "0"
+    if len(digits) > len(str(_MAX_BODY_BYTES)) or not 0 < int(digits) <= _MAX_BODY_BYTES:
+        raise _RequestError(413, f"body must be 1..{_MAX_BODY_BYTES} bytes, got {digits}")
+    return int(digits)
 
 
 def _parse_json(body: bytes) -> "tuple[dict, list[np.ndarray], bool]":

@@ -14,6 +14,9 @@ Counter semantics (the reconciliation invariant the load test asserts):
 queued or shed at the door.  Accepted requests then finish as exactly one of
 ``completed``, ``expired`` (deadline hit before/while serving) or
 ``failed`` (engine raised) or ``cancelled`` (server stopped without drain).
+
+Every executed batch also counts once under the reason it closed
+(:data:`CLOSE_REASONS`), so the close-reason counts sum to the batch count.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ from typing import Callable
 
 from repro.train.metrics import Counter, RunningAverage
 
-__all__ = ["ClusterMetrics", "LatencyReservoir", "ServerMetrics", "percentile"]
+__all__ = ["CLOSE_REASONS", "ClusterMetrics", "LatencyReservoir", "ServerMetrics", "percentile"]
+
+#: Why the micro-batcher closed a batch: it reached ``max_batch_size``
+#: (``full``), the engine was idle (``idle``), ``max_wait_s`` expired while
+#: another batch executed (``window``), or the batcher was stopping or paused
+#: (``stop``).
+CLOSE_REASONS = ("full", "idle", "window", "stop")
 
 
 def percentile(samples: "list[float]", p: float) -> float:
@@ -97,6 +106,7 @@ class ServerMetrics:
         self.cancelled = Counter()
         self.batches = Counter()
         self.batch_size_mean = RunningAverage()
+        self.batch_closes = {reason: Counter() for reason in CLOSE_REASONS}
         self.latency_mean = RunningAverage()
         self.latency = LatencyReservoir(reservoir_capacity)
         self._batch_hist: dict[int, int] = {}
@@ -123,8 +133,10 @@ class ServerMetrics:
     def record_cancelled(self) -> None:
         self.cancelled.increment()
 
-    def record_batch(self, size: int) -> None:
+    def record_batch(self, size: int, reason: str) -> None:
+        """One executed batch of ``size`` requests, closed for ``reason``."""
         self.batches.increment()
+        self.batch_closes[reason].increment()
         self.batch_size_mean.update(size)
         with self._hist_lock:
             self._batch_hist[size] = self._batch_hist.get(size, 0) + 1
@@ -173,6 +185,9 @@ class ServerMetrics:
                 "count": self.batches.value,
                 "mean_size": self.batch_size_mean.value,
                 "histogram": {str(k): v for k, v in sorted(self.batch_size_histogram().items())},
+                "close_reasons": {
+                    reason: counter.value for reason, counter in self.batch_closes.items()
+                },
             },
             "latency_s": {
                 "mean": self.latency_mean.value,

@@ -1,10 +1,12 @@
-"""Micro-batcher: coalescing, ordering, deadlines, backpressure, shutdown."""
+"""Micro-batcher: coalescing, dispatch rule, ordering, deadlines, backpressure, shutdown."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from concurrent.futures import wait
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,6 +80,149 @@ class TestResultsAndCoalescing:
             wait(futures, timeout=10)
         for i, fut in enumerate(futures):  # read *after* all batches ran
             np.testing.assert_array_equal(fut.result(), serial[i])
+
+
+class _GatedEngine:
+    """Engine stub whose first ``forward_batch`` blocks until ``release`` is set.
+
+    Logits are the flattened images, so each row shows which request it
+    answers; ``batches`` records every batch size in call order.
+    """
+
+    def __init__(self) -> None:
+        self.plan = SimpleNamespace(dtype=np.float64)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.batches: "list[int]" = []
+        self._lock = threading.Lock()
+
+    def make_context(self):
+        return None
+
+    def forward_batch(self, images, ctx=None):
+        with self._lock:
+            first = not self.batches
+            self.batches.append(len(images))
+        if first:
+            self.entered.set()
+            assert self.release.wait(30), "test never released the first batch"
+        return images.reshape(len(images), -1)
+
+
+def _tiny(i: int) -> np.ndarray:
+    return np.full((1, 1, 2), float(i))
+
+
+class TestDispatchRule:
+    """Work-conserving dispatch: a forming batch is held open only while
+    another batch executes (Nagle's rule applied to batches)."""
+
+    def test_isolated_request_does_not_wait_for_the_window(self, served_engine):
+        cfg = BatcherConfig(max_batch_size=32, max_wait_s=5.0)
+        with MicroBatcher(served_engine, cfg) as b:
+            b.submit(sample_images(1, seed=30)[0]).result(timeout=10)  # warm
+            t0 = time.monotonic()
+            b.submit(sample_images(1, seed=31)[0]).result(timeout=10)
+            elapsed = time.monotonic() - t0
+        assert elapsed < 1.0, f"isolated request held {elapsed:.2f}s on an idle engine"
+        assert b.metrics.snapshot()["batches"]["close_reasons"]["idle"] == 2
+
+    def _start_blocked(self, max_wait_s: float):
+        """A 2-worker batcher whose first batch (request 0) is executing."""
+        engine = _GatedEngine()
+        b = MicroBatcher(engine, BatcherConfig(max_batch_size=8, max_wait_s=max_wait_s, workers=2))
+        b.start()
+        first = b.submit(_tiny(0))
+        assert engine.entered.wait(10)
+        return engine, b, first
+
+    def test_held_batch_dispatches_when_the_executing_batch_completes(self):
+        engine, b, first = self._start_blocked(max_wait_s=5.0)
+        try:
+            futures = [b.submit(_tiny(i)) for i in (1, 2, 3)]
+            time.sleep(0.2)
+            # The second worker holds them open while batch 1 executes.
+            assert not any(f.done() for f in futures)
+            assert engine.batches == [1]
+            t0 = time.monotonic()
+            engine.release.set()  # the "ACK"
+            for i, fut in enumerate(futures, start=1):
+                np.testing.assert_array_equal(fut.result(timeout=10), _tiny(i).ravel())
+            assert time.monotonic() - t0 < 1.0  # well inside the 5 s window
+            assert first.result(timeout=10)[0] == 0.0
+        finally:
+            engine.release.set()
+            b.stop()
+        assert engine.batches == [1, 3]
+        closes = b.metrics.snapshot()["batches"]["close_reasons"]
+        assert closes == {"full": 0, "idle": 2, "window": 0, "stop": 0}
+
+    def test_held_batch_dispatches_after_max_wait(self):
+        engine, b, first = self._start_blocked(max_wait_s=0.2)
+        try:
+            futures = [b.submit(_tiny(i)) for i in (1, 2)]
+            # Batch 1 is still executing; the window alone closes batch 2.
+            for i, fut in enumerate(futures, start=1):
+                np.testing.assert_array_equal(fut.result(timeout=10), _tiny(i).ravel())
+            assert not first.done()
+            assert engine.batches == [1, 2]
+        finally:
+            engine.release.set()
+            b.stop()
+        assert first.result(timeout=10)[0] == 0.0
+        closes = b.metrics.snapshot()["batches"]["close_reasons"]
+        assert closes == {"full": 0, "idle": 1, "window": 1, "stop": 0}
+
+    def test_full_batch_and_pause_close_a_held_batch(self):
+        engine, b, first = self._start_blocked(max_wait_s=5.0)
+        try:
+            full = [b.submit(_tiny(i)) for i in range(1, 9)]  # max_batch_size=8
+            wait(full, timeout=10)
+            assert all(f.done() for f in full) and not first.done()
+            held = b.submit(_tiny(9))
+            time.sleep(0.1)
+            assert not held.done()
+            b.pause()  # closes the forming batch: serve what we have
+            assert held.result(timeout=10)[0] == 9.0
+        finally:
+            engine.release.set()
+            b.resume()
+            b.stop()
+        assert engine.batches == [1, 8, 1]
+        closes = b.metrics.snapshot()["batches"]["close_reasons"]
+        assert closes == {"full": 1, "idle": 1, "window": 0, "stop": 1}
+
+    def test_stress_many_workers_short_switch_interval(self):
+        """More workers than cores and a tiny GIL switch interval: every
+        request gets its own row, and each batch is counted once."""
+        engine = _GatedEngine()
+        engine.release.set()  # no blocking: pure dispatch contention
+        cfg = BatcherConfig(max_batch_size=4, max_wait_s=0.001, workers=4, queue_depth=4096)
+        clients, per_client = 8, 50
+        wrong: "list[int]" = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MicroBatcher(engine, cfg) as b:
+
+                def client(c: int) -> None:
+                    for i in range(c * per_client, (c + 1) * per_client):
+                        if b.submit(_tiny(i)).result(timeout=30)[0] != i:
+                            wrong.append(i)
+
+                threads = [threading.Thread(target=client, args=(c,)) for c in range(clients)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert wrong == []
+        snap = b.metrics.snapshot()
+        assert snap["requests"]["completed"] == sum(engine.batches) == clients * per_client
+        assert sum(snap["batches"]["close_reasons"].values()) == snap["batches"]["count"]
+        assert snap["batches"]["count"] == len(engine.batches)
 
 
 class TestValidation:

@@ -25,6 +25,7 @@ from repro.serve import (
     ServeHTTPError,
     ServerConfig,
 )
+from repro.serve.http import _content_length, _RequestError
 
 from tests.serve.conftest import build_small_network, sample_images
 
@@ -126,11 +127,12 @@ class TestErrorMapping:
         assert status == 400
 
     def test_bad_deadline_400(self, server):
-        status, _ = _post_raw(
-            server.url,
-            json.dumps({"image": sample_images(1)[0].tolist(), "deadline_ms": -5}).encode(),
-        )
-        assert status == 400
+        for deadline_ms in (-5, True):  # a bool is an int, but not a deadline
+            status, _ = _post_raw(
+                server.url,
+                json.dumps({"image": sample_images(1)[0].tolist(), "deadline_ms": deadline_ms}).encode(),
+            )
+            assert status == 400, deadline_ms
 
     def test_queue_full_maps_to_503_with_shed_flag(self):
         registry = ModelRegistry(BatcherConfig(queue_depth=1, full_policy="reject"))
@@ -463,7 +465,7 @@ class TestNpyBody:
     @pytest.mark.parametrize("content_type", ["application/x-npy", "application/json"])
     def test_missing_length_411_and_oversize_413(self, server, content_type):
         host, port = "127.0.0.1", server.port
-        for length, expected in ((None, 411), (64 * 1024 * 1024 + 1, 413)):
+        for length, expected in ((None, 411), (64 * 1024 * 1024 + 1, 413), ("9" * 5000, 413)):
             conn = http.client.HTTPConnection(host, port, timeout=15)
             try:
                 conn.putrequest("POST", "/v1/predict")
@@ -477,6 +479,31 @@ class TestNpyBody:
                 assert resp.will_close  # the unread body ends the connection
             finally:
                 conn.close()
+
+    # RFC 9110 Content-Length is 1*DIGIT: int() would also accept all of these.
+    @pytest.mark.parametrize("length", ["1_000", "+12", " 12 ", "١٢", "-1", "0x10", ""])
+    def test_non_digit_length_400(self, server, length):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=15)
+        try:
+            conn.putrequest("POST", "/v1/predict")
+            conn.putheader("Content-Type", "application/x-npy")
+            conn.putheader("Content-Length", length.encode("utf-8"))
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "Content-Length" in json.loads(resp.read())["error"]
+            assert resp.will_close  # the unread body ends the connection
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("length", ["١٢", "１２"])
+    def test_content_length_accepts_ascii_digits_only(self, length):
+        # Over the wire non-ASCII digits arrive latin-1 decoded; check the
+        # parser itself against the str int() would have taken.
+        with pytest.raises(_RequestError) as err:
+            _content_length(length)
+        assert err.value.status == 400
+        assert _content_length("0012") == 12
 
     @pytest.mark.parametrize(
         "headers",

@@ -93,7 +93,9 @@ class TestServerMetrics:
         m.record_offered(), m.record_offered(), m.record_offered()
         m.record_accepted(), m.record_accepted()
         m.record_shed()
-        m.record_batch(2)
+        m.record_batch(2, "idle")
+        m.record_batch(3, "window")
+        m.record_batch(3, "idle")
         m.record_completed(0.010)
         m.record_completed(0.020)
         snap = m.snapshot()
@@ -101,9 +103,10 @@ class TestServerMetrics:
             "offered": 3, "accepted": 2, "shed": 1, "completed": 2,
             "expired": 0, "failed": 0, "cancelled": 0,
         }
-        assert snap["batches"]["count"] == 1
-        assert snap["batches"]["mean_size"] == 2.0
-        assert snap["batches"]["histogram"] == {"2": 1}
+        assert snap["batches"]["count"] == 3
+        assert snap["batches"]["mean_size"] == pytest.approx(8 / 3)
+        assert snap["batches"]["histogram"] == {"2": 1, "3": 2}
+        assert snap["batches"]["close_reasons"] == {"full": 0, "idle": 2, "window": 1, "stop": 0}
         assert snap["latency_s"]["mean"] == pytest.approx(0.015)
         assert snap["latency_s"]["samples"] == 2
         assert set(snap["latency_s"]) >= {"p50", "p95", "p99", "mean"}
@@ -118,6 +121,6 @@ class TestServerMetrics:
         import json
 
         m = ServerMetrics()
-        m.record_batch(4)
+        m.record_batch(4, "full")
         m.record_completed(0.001)
         assert json.loads(json.dumps(m.snapshot()))
