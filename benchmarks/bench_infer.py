@@ -49,6 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import time
 from pathlib import Path
@@ -64,6 +65,7 @@ from repro.nn.tensor import Tensor, no_grad
 from repro.quant.schemes import paper_schemes
 from repro.quant.sparsify import dead_filter_fraction, sparsify_model
 from repro.train.trainer import Trainer
+from repro.utils.profiler import PhaseProfiler
 
 # The Table-1 "small" configurations (sub-megabyte nets 1, 4, 5) drive the
 # headline eager-vs-engine timing; all eight drive the parity table.
@@ -503,6 +505,30 @@ def _print_int(rows: list[dict], summary: dict) -> None:
     )
 
 
+# Traced-node kinds reported by name; every other node (LeakyReLU, ActQuant,
+# affine heads running standalone) is an elementwise chain.
+_NAMED_KINDS = ("conv", "linear", "maxpool", "avgpool", "gap", "add")
+
+
+def _per_kind_ms(engine: InferenceEngine, images: np.ndarray, calls: int) -> dict:
+    """Self ms per forward pass of each traced node kind, from a profiled
+    pass run after (never inside) the timed region."""
+    engine.profiler = PhaseProfiler()
+    try:
+        for _ in range(calls):
+            engine.forward_batch(images, check_stale=False)
+        totals = engine.profiler.totals
+    finally:
+        engine.profiler = None
+    kinds: dict[str, float] = {}
+    for phase, seconds in totals.items():
+        # "ir3:conv[dense]+lrelu+aq" -> conv; "ir7:aq" -> eltwise
+        kind = re.split(r"[\[+]", phase.split(":", 1)[-1])[0]
+        kind = kind if kind in _NAMED_KINDS else "eltwise"
+        kinds[kind] = kinds.get(kind, 0.0) + seconds * 1e3 / calls
+    return dict(sorted(kinds.items()))
+
+
 def _native_row(network_id: int, reps: int, batches: tuple[int, ...] = NATIVE_BATCHES) -> dict:
     """Time the native C kernels against the numpy codegen on the same plan,
     in both execution dtypes, with bitwise-equality checks and the per-layer
@@ -555,6 +581,10 @@ def _native_row(network_id: int, reps: int, batches: tuple[int, ...] = NATIVE_BA
             "int8_native_s": med["int8_native"],
             "int8_speedup": med["int8_numpy"] / med["int8_native"],
             "int8_native_vs_float_numpy": med["numpy"] / med["int8_native"],
+            "per_kind_ms": {
+                key: _per_kind_ms(engines[key], images, reps * inner)
+                for key in ("numpy", "native")
+            },
         }
     shape = (batches[-1], 3, IMAGE_SIZE, IMAGE_SIZE)
     prog = engines["native"].plan.traced_program(shape)
@@ -584,6 +614,7 @@ def _native_summary(rows: list[dict]) -> dict:
     int8_b1 = [r["batches"].get("1", {}).get("int8_speedup") for r in rows]
     return {
         "toolchain": {k: status.get(k) for k in ("available", "compiler", "loader")},
+        "cpu_count": os.cpu_count(),
         "min_batch1_speedup": min((s for s in b1 if s), default=None),
         "max_batch1_speedup": max((s for s in b1 if s), default=None),
         "min_int8_batch1_speedup": min((s for s in int8_b1 if s), default=None),
@@ -618,6 +649,12 @@ def _print_native(rows: list[dict], summary: dict) -> None:
             f"{native_nodes}/{len(row['float64_layers'])} nodes native, "
             f"bitwise f64={row['bitwise_equal']['float64']} int8={row['bitwise_equal']['int8']}"
         )
+        for batch, spec in row["batches"].items():
+            kinds = spec["per_kind_ms"]
+            print(f"  b{batch} per-kind ms numpy->native: " + ", ".join(
+                f"{kind} {ms:.3f}->{kinds['native'].get(kind, 0.0):.3f}"
+                for kind, ms in kinds["numpy"].items()
+            ))
     print(
         f"native: toolchain={summary['toolchain']}, nets meeting bar (>=2x b1): "
         f"{summary['nets_meeting_bar']}, bitwise={summary['all_bitwise_equal']}"

@@ -84,6 +84,10 @@ def test_native_sweep_smoke(tmp_path):
         for spec in row["batches"].values():
             assert spec["numpy_s"] > 0 and spec["native_s"] > 0
             assert spec["int8_numpy_s"] > 0 and spec["int8_native_s"] > 0
+            # Per-kind self times name the layer that moved between backends.
+            for kinds in spec["per_kind_ms"].values():
+                assert {"conv", "linear"} <= set(kinds)
+                assert all(ms >= 0 for ms in kinds.values())
         assert row["float64_layers"]  # per-node backend outcome records
         backends = {l.get("backend") for l in row["float64_layers"]}
         assert backends <= {"native", "numpy"}

@@ -21,6 +21,7 @@ from repro.infer import InferenceEngine, PlanConfig
 from repro.infer import kernels
 from repro.infer.intq.build import IntConvOp, IntLinearOp
 from repro.infer.native import binding, toolchain
+from repro.infer.plan import ConvOp
 from repro.models.configs import NetworkConfig
 from repro.models.registry import build_from_config
 from repro.quant.schemes import paper_schemes
@@ -129,6 +130,27 @@ class TestBitwiseParity:
         for bs in (1, 3, 16):
             assert _bitwise_equal(engine.predict_logits(images, batch_size=bs), ref)
 
+    def test_batch_size_does_not_change_padded_conv_bits(self):
+        """Native convs reuse one sample's pad/cols scratch for the whole
+        batch; a sample that read its predecessor's columns would fail the
+        self-check at every batch size > 1, including a ragged tail.
+
+        The reference is numpy at the *same* batch size: on this net the
+        final linear's OpenBLAS GEMM rounds differently as its row count
+        changes, so even numpy's bits depend on the batch size.  A
+        demoted kernel would still match numpy, hence the failure count.
+        """
+        model, images = _net_and_images("vgg7-w8-8px-Full", 17, GENERATED_FLOAT64)
+        reference = InferenceEngine(model, config=PlanConfig(backend="numpy"))
+        engine = InferenceEngine(model, config=PlanConfig(backend="native"))
+        failures = binding.status()["check_failures"]
+        for bs in (1, 3, 8, 17):
+            want = reference.predict_logits(images, batch_size=bs)
+            assert _bitwise_equal(engine.predict_logits(images, batch_size=bs), want), bs
+        assert binding.status()["check_failures"] == failures
+        if NATIVE_OK:
+            assert _traced_backend_counts(engine).get("native", 0) > 0
+
     def test_repeated_runs_share_one_digest(self):
         """Same engine, same batch, many runs: a single output digest."""
         model = build_small_network(4)
@@ -136,6 +158,121 @@ class TestBitwiseParity:
         engine = InferenceEngine(model, config=PlanConfig(backend="native"))
         digests = {engine.predict_logits(images).tobytes() for _ in range(5)}
         assert len(digests) == 1
+
+
+# -- edge values --------------------------------------------------------------
+
+_NAN_A = np.uint64(0x7FF8000000000001).view(np.float64)  # payload-tagged NaN
+_NAN_B = -np.float64("nan")
+
+# 2x2 pool windows, slot order (0,0) (0,1) (1,0) (1,1).
+_EDGE_WINDOWS = [
+    (np.nan, 1.0, 2.0, 3.0),
+    (1.0, np.nan, 2.0, 3.0),
+    (1.0, 2.0, np.nan, 3.0),
+    (1.0, 2.0, 3.0, np.nan),
+    (_NAN_A, _NAN_B, 1.0, 2.0),
+    (1.0, _NAN_B, _NAN_A, 0.0),
+    (np.inf, 1.0, 2.0, 3.0),
+    (-np.inf, -1.0, -2.0, -3.0),
+    (-np.inf, -np.inf, -np.inf, -np.inf),
+    (-np.inf, 1.0, np.inf, 0.0),
+    (-0.0, 0.0, -0.0, -0.0),
+    (0.0, -0.0, -0.0, -0.0),
+    (0.0, -0.0, 0.0, -0.0),
+    (-0.0, -0.0, -0.0, -0.0),
+    (-0.3, -0.1, -0.2, -0.4),
+]
+
+_LRELU_AQ = [("lrelu", 0.1), ("aq", 0.25, 8.0)]
+
+
+def _edge_pool_input() -> np.ndarray:
+    """(2, 2, 2, 2*len(windows)): every window in channel 0 of sample 0,
+    the same windows negated after it, random data elsewhere."""
+    nw = len(_EDGE_WINDOWS)
+    x = np.random.default_rng(3).normal(0.0, 1.0, (2, 2, 2, 2 * nw))
+    for w, win in enumerate(_EDGE_WINDOWS):
+        for slot, v in enumerate(win):
+            x[0, 0, slot // 2, 2 * w + slot % 2] = v
+            x[1, 1, slot // 2, 2 * w + slot % 2] = -v
+    return x
+
+
+def _both_backends(bind):
+    """Run ``bind(backend, record)`` -> ``(thunk, out)`` for numpy and
+    native; return both outputs and the native binding's record."""
+    outs, record = {}, {}
+    for backend in ("numpy", "native"):
+        rec = record if backend == "native" else None
+        thunk, out = bind(backend, rec)
+        with np.errstate(invalid="ignore"):  # inf - inf, 0 * inf
+            thunk()
+            thunk()  # the second call runs whichever kernel the check pinned
+        outs[backend] = out
+    return outs["numpy"], outs["native"], record
+
+
+class TestEdgeValues:
+    """NaN in every window slot, +-inf and signed-zero ties: native must
+    give numpy's exact bits *without* the self-check demoting it (a
+    demotion would hide a select-form slip as a mere slowdown)."""
+
+    def _check(self, bind):
+        failures = binding.status()["check_failures"]
+        want, got, record = _both_backends(bind)
+        assert _bitwise_equal(got, want)
+        if NATIVE_OK:
+            assert record.get("backend") == "native", record
+            assert "native_check_failed" not in record
+            assert binding.status()["check_failures"] == failures
+
+    @pytest.mark.parametrize("pool_kind", ("maxpool", "avgpool"))
+    @pytest.mark.parametrize("epilogue", ((), _LRELU_AQ), ids=("plain", "lrelu_aq"))
+    def test_pool(self, pool_kind, epilogue):
+        x = _edge_pool_input()
+        out_shape = (x.shape[0], x.shape[1], 1, x.shape[3] // 2)
+        scratch_reqs = kernels.epilogue_scratch(epilogue, out_shape[1:])
+
+        def bind(backend, record):
+            out = np.empty(out_shape)
+            scratch = {r.name: np.empty((x.shape[0],) + r.tail) for r in scratch_reqs}
+            thunk = kernels.bind_pool(
+                pool_kind, 2, 2, x, out, scratch, epilogue, np.dtype(np.float64),
+                backend, record,
+            )
+            return thunk, out
+
+        self._check(bind)
+
+    def test_conv_lrelu_aq(self):
+        """A padded 3x3 conv whose GEMM sees NaN, +-inf and signed zeros
+        and whose epilogue rounds small negatives to -0.0."""
+        rng = np.random.default_rng(5)
+        nb, c, h, w, f = 3, 2, 6, 6, 4
+        x = rng.normal(0.0, 0.2, (nb, c, h, w))
+        x[0, 0, 1, 1] = np.nan
+        x[1, 1, 2, 3] = np.inf
+        x[2, 0, 4, 4] = -np.inf
+        x[2, 1, 0:3, 0:3] = -0.0
+        weight = rng.normal(0.0, 0.5, (f, c * 9))
+        weight[:, ::4] = 0.0
+        op = ConvOp(0, 0, 1, weight, rng.normal(0.0, 0.1, f), kernel=3, stride=1, padding=1)
+        scratch_reqs = kernels.producer_scratch("conv", op, x.shape, "dense", _LRELU_AQ)
+
+        def bind(backend, record):
+            out = np.empty((nb, f, h * w))
+            scratch = {
+                r.name: (np.zeros if r.zero else np.empty)((nb,) + r.tail)
+                for r in scratch_reqs
+            }
+            thunk = kernels.bind_producer(
+                "conv", op, x, out, scratch, "dense", _LRELU_AQ,
+                np.dtype(np.float64), backend, record,
+            )
+            return thunk, out
+
+        self._check(bind)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
