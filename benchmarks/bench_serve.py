@@ -198,8 +198,8 @@ def _bench_http(scale: str, engine: InferenceEngine, images: np.ndarray, clients
                 requests_per_client: int, micro: bool) -> dict:
     registry = ModelRegistry(ON if micro else OFF)
     entry = registry.register("bench", engine=engine)
-    with ModelServer(registry, ServerConfig(port=0, request_timeout_s=120.0)) as server:
-        client = PredictClient(server.url, timeout_s=120.0)
+    with ModelServer(registry, ServerConfig(port=0, request_timeout_s=120.0)) as server, \
+            PredictClient(server.url, timeout_s=120.0) as client:
         n = len(images)
         client.predict(images[0])  # warm
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.errors import DataError
 from repro.data.dataset import ArrayDataset, DataSplit
@@ -65,6 +64,11 @@ class SyntheticImageConfig:
 
 def _make_prototypes(config: SyntheticImageConfig, rng: np.random.Generator) -> np.ndarray:
     """Smooth per-class textures of shape (classes, C, H, W), unit RMS."""
+    # Imported on use: scipy (and the importlib.metadata and email packages
+    # it loads) would otherwise ride into every process that imports
+    # repro.infer or repro.serve, which never generate data.
+    from scipy import ndimage
+
     coarse = rng.normal(
         size=(config.num_classes, config.channels, config.prototype_grid, config.prototype_grid)
     )

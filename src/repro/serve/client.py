@@ -4,7 +4,8 @@ Used by the serving tests, benchmark and example so they all speak the wire
 protocol the same way; applications are equally well served by ``curl`` or
 any HTTP library.  :class:`PredictClient` is thread-safe — each thread gets
 its own persistent keep-alive connection, so concurrent load generators can
-share one instance without paying TCP setup per request.
+share one instance without paying TCP setup per request; :meth:`close`
+closes them all.
 
 Transport failures — a connect refused, an idle-closed keep-alive, and
 equally a :class:`ConnectionResetError`/:class:`BrokenPipeError` that
@@ -21,10 +22,10 @@ socket exceptions.
 Predict calls send the image as a binary ``.npy`` body
 (``Content-Type: application/x-npy``) with ``model`` and ``deadline_ms`` as
 query parameters; the server also accepts JSON, which :meth:`_request` still
-sends for dict bodies.  :class:`http.client.HTTPConnection` sets
-``TCP_NODELAY`` on every connect, reconnects after a retry included, so a
-request is never held back by Nagle's algorithm on this side; the server
-sets it on its end.
+sends for dict bodies.  The transport is a plain socket per thread, with
+``TCP_NODELAY`` set: each request goes out in one ``sendall``, the answer is
+read by its ``Content-Length``, and a server's ``Connection: close`` ends
+the connection, so the next call opens a fresh one.
 
 Tail-latency hedging is available via ``hedge_after_s``: when an attempt
 has not answered within that budget, a duplicate request races it on a
@@ -34,11 +35,11 @@ for a server that may be mid-restart behind one of its workers.
 
 from __future__ import annotations
 
-import http.client
 import io
 import json
 import queue
 import random
+import socket
 import threading
 import time
 import urllib.parse
@@ -51,18 +52,13 @@ from repro.errors import DeadlineExceededError, RetriesExhaustedError
 
 __all__ = ["PredictClient", "PredictResult", "ServeHTTPError"]
 
-#: Transport-level failures that are safe to retry.  ``ConnectionError``
-#: covers ``ConnectionResetError``/``BrokenPipeError`` raised mid-response
-#: (between ``getresponse()`` and a complete ``read()``) as well as at
-#: connect time; ``http.client.HTTPException`` covers truncated/invalid
-#: responses (e.g. ``IncompleteRead``) from a dying server.
-_RETRYABLE = (http.client.HTTPException, ConnectionError, TimeoutError, OSError)
-
-
-def _encode_npy(array: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, array, allow_pickle=False)
-    return buf.getvalue()
+#: Transport-level failures that are safe to retry: a refused connect, a
+#: timeout, and a ``ConnectionError`` — reset, broken pipe, an EOF where an
+#: answer was due (a reused keep-alive socket the server has since closed),
+#: or a malformed answer from a dying server — before or mid-response.
+_RETRYABLE = (OSError,)
+#: Distinct (dtype, shape, order) whose ``.npy`` header is kept.
+_NPY_HEADER_CACHE = 32
 
 
 class ServeHTTPError(Exception):
@@ -79,11 +75,31 @@ class ServeHTTPError(Exception):
         return self.status == 503 and bool(self.payload.get("shed"))
 
 
-@dataclass
+@dataclass(slots=True)
 class PredictResult:
     model: str
     logits: np.ndarray  # (C,) single / (N, C) batch
     predictions: "int | list[int]"
+
+
+def _parse_status(head: bytes) -> "tuple[int, int, bool]":
+    """A response head -> (status, Content-Length, whether the server closes)."""
+    lines = head.decode("latin-1").split("\r\n")
+    version, _, rest = lines[0].partition(" ")
+    if not version.startswith("HTTP/1.") or not rest[:3].isdigit():
+        raise ConnectionError(f"malformed status line {lines[0][:100]!r}")
+    length, close = None, version == "HTTP/1.0"
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        name = name.strip().lower()
+        if name == "content-length" and value.strip().isdigit():
+            length = int(value)
+        elif name == "connection":
+            tokens = {t.strip() for t in value.lower().split(",")}
+            close = "close" in tokens or (close and "keep-alive" not in tokens)
+    if length is None:
+        raise ConnectionError("response without a valid Content-Length")
+    return int(rest[:3]), length, close
 
 
 class PredictClient:
@@ -136,12 +152,16 @@ class PredictClient:
             raise ValueError(f"base_url must look like http://host:port, got {base_url!r}")
         self._host = parsed.hostname
         self._port = parsed.port if parsed.port is not None else 80
+        self._host_header = f"Host: {parsed.netloc}\r\n"
         if hedge_after_s is not None and hedge_after_s <= 0:
             raise ValueError(f"hedge_after_s must be positive, got {hedge_after_s}")
         self.hedge_after_s = hedge_after_s
         self._local = threading.local()
+        #: Every socket this client holds open, whichever thread opened it.
+        self._socks: "set[socket.socket]" = set()
+        self._npy_headers: "dict[tuple, bytes]" = {}
         self._jitter_rng = random.Random(retry_seed)
-        self._stats_lock = threading.Lock()
+        self._lock = threading.Lock()
         #: Hedge requests actually fired (attempt outlived ``hedge_after_s``).
         self.hedges_fired = 0
         #: Test seam: called before every connection attempt; raising one of
@@ -155,19 +175,86 @@ class PredictClient:
 
     # -- connection management -------------------------------------------------
 
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = http.client.HTTPConnection(self._host, self._port, timeout=self.timeout_s)
-            self._local.conn = conn
-        return conn
+    def _socket(self) -> socket.socket:
+        sock = getattr(self._local, "sock", None)
+        if sock is None or sock.fileno() < 0:  # none yet, or closed by close()
+            sock = socket.create_connection((self._host, self._port), timeout=self.timeout_s)
+            # Requests go out in one send, but an answer must never wait
+            # on Nagle's algorithm either way.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._local.sock = sock
+            with self._lock:
+                self._socks.add(sock)
+        return sock
+
+    def _disconnect(self) -> None:
+        """Close the calling thread's connection (if any)."""
+        sock = getattr(self._local, "sock", None)
+        if sock is not None:
+            self._local.sock = None
+            with self._lock:
+                self._socks.discard(sock)
+            sock.close()
 
     def close(self) -> None:
-        """Close this thread's keep-alive connection (if any)."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
+        """Close every connection this client holds, opened by any thread.
+
+        A request still in flight on another thread then fails its attempt
+        and retries on a fresh connection.
+        """
+        with self._lock:
+            socks, self._socks = self._socks, set()
+        for sock in socks:
+            sock.close()
+        self._local.sock = None
+
+    def __enter__(self) -> "PredictClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _encode_npy(self, array: np.ndarray) -> bytes:
+        """``np.save``'s bytes for ``array``, the header built once per dtype, shape and order."""
+        fortran = not array.flags.c_contiguous and array.flags.f_contiguous
+        key = (array.dtype, array.shape, fortran)
+        header = self._npy_headers.get(key)
+        if header is None:
+            buf = io.BytesIO()
+            np.save(buf, array, allow_pickle=False)
+            raw = buf.getvalue()
+            if len(self._npy_headers) < _NPY_HEADER_CACHE:
+                self._npy_headers[key] = raw[: len(raw) - array.nbytes]
+            return raw
+        return header + array.tobytes("F" if fortran else "C")
+
+    def _exchange(
+        self, method: str, path: str, data: "bytes | None", content_type: "str | None"
+    ) -> "tuple[int, bytes]":
+        """One request on this thread's connection -> (status, body)."""
+        sock = self._socket()
+        head = f"{method} {path} HTTP/1.1\r\n{self._host_header}"
+        if data is not None:
+            head += f"Content-Type: {content_type}\r\nContent-Length: {len(data)}\r\n"
+        sock.sendall((head + "\r\n").encode("latin-1") + (data or b""))
+        buf = bytearray()
+        while (end := buf.find(b"\r\n\r\n")) < 0:
+            chunk = sock.recv(65536)
+            if not chunk:
+                raise ConnectionResetError("server closed the connection before answering")
+            buf += chunk
+        status, length, close = _parse_status(bytes(buf[:end]))
+        if self.mid_response_hook is not None:
+            self.mid_response_hook()
+        need = end + 4 + length
+        while len(buf) < need:
+            chunk = sock.recv(max(65536, need - len(buf)))
+            if not chunk:
+                raise ConnectionResetError("server closed the connection mid-response")
+            buf += chunk
+        if close or len(buf) > need:  # bytes past the answer: the stream is unusable
+            self._disconnect()
+        return status, bytes(buf[end + 4 : need])
 
     # -- raw calls -------------------------------------------------------------
 
@@ -183,21 +270,20 @@ class PredictClient:
     ) -> dict:
         """GET ``path`` (no body) or POST ``body``: a dict as JSON, an array as ``.npy``."""
         if body is None:
-            data, headers = None, {}
+            data, content_type = None, None
         elif isinstance(body, np.ndarray):
-            data, headers = _encode_npy(body), {"Content-Type": "application/x-npy"}
+            data, content_type = self._encode_npy(body), "application/x-npy"
         else:
-            data = json.dumps(body).encode("utf-8")
-            headers = {"Content-Type": "application/json"}
+            data, content_type = json.dumps(body).encode("utf-8"), "application/json"
         if self.hedge_after_s is None:
-            return self._attempt_loop(path, data, headers, deadline_s)
-        return self._hedged_request(path, data, headers, deadline_s)
+            return self._attempt_loop(path, data, content_type, deadline_s)
+        return self._hedged_request(path, data, content_type, deadline_s)
 
     def _attempt_loop(
         self,
         path: str,
         data: "bytes | None",
-        headers: "dict[str, str]",
+        content_type: "str | None",
         deadline_s: "float | None",
         close_after: bool = False,
     ) -> dict:
@@ -208,18 +294,13 @@ class PredictClient:
                 try:
                     if self.pre_request_hook is not None:
                         self.pre_request_hook()
-                    conn = self._connection()
-                    conn.request(method, path, body=data, headers=headers)
-                    resp = conn.getresponse()
-                    if self.mid_response_hook is not None:
-                        self.mid_response_hook()
-                    raw = resp.read()
+                    status, raw = self._exchange(method, path, data, content_type)
                     break
                 except _RETRYABLE as exc:
                     # The connection is in an unknown state — whether the drop
                     # struck before the request or mid-response — so close it
                     # and let the next attempt start from a fresh handshake.
-                    self.close()
+                    self._disconnect()
                     if attempt >= self.max_retries:
                         raise RetriesExhaustedError(
                             f"{method} {path} failed after {attempt + 1} attempt(s): {exc}"
@@ -233,20 +314,20 @@ class PredictClient:
                     time.sleep(delay)
         finally:
             if close_after:  # hedge threads are short-lived: no conn to keep warm
-                self.close()
+                self._disconnect()
         try:
             payload = json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError):
-            payload = {"error": raw.decode("utf-8", "replace") or f"HTTP {resp.status}"}
-        if resp.status >= 400:
-            raise ServeHTTPError(resp.status, payload)
+            payload = {"error": raw.decode("utf-8", "replace") or f"HTTP {status}"}
+        if status >= 400:
+            raise ServeHTTPError(status, payload)
         return payload
 
     def _hedged_request(
         self,
         path: str,
         data: "bytes | None",
-        headers: "dict[str, str]",
+        content_type: "str | None",
         deadline_s: "float | None",
     ) -> dict:
         """Race a duplicate request once the first exceeds ``hedge_after_s``.
@@ -261,7 +342,7 @@ class PredictClient:
 
         def run(tag: str) -> None:
             try:
-                answer = self._attempt_loop(path, data, headers, deadline_s, close_after=True)
+                answer = self._attempt_loop(path, data, content_type, deadline_s, close_after=True)
                 results.put((tag, None, answer))
             except BaseException as exc:  # delivered to the caller below
                 results.put((tag, exc, None))
@@ -273,7 +354,7 @@ class PredictClient:
             tag, error, payload = results.get(timeout=self.hedge_after_s)
             outstanding -= 1
         except queue.Empty:
-            with self._stats_lock:
+            with self._lock:
                 self.hedges_fired += 1
             threading.Thread(target=run, args=("hedge",), daemon=True, name="predict-hedge").start()
             outstanding += 1

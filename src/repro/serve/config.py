@@ -80,9 +80,9 @@ class ServerConfig:
             ``"0.0.0.0"`` explicitly to serve externally.
         port: TCP port; ``0`` lets the OS pick a free one (the bound port is
             readable from :attr:`ModelServer.port` — tests rely on this).
-        request_timeout_s: Upper bound a handler thread waits on a
-            prediction future before answering 504.  Keeps handler threads
-            from blocking forever if their work was dropped.
+        request_timeout_s: Upper bound the server waits on a request's
+            prediction futures before answering 504, so a request whose
+            work was dropped still gets an answer.
         drain_timeout_s: Upper bound for the graceful-shutdown drain of
             queued and in-flight requests.
     """

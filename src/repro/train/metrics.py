@@ -4,7 +4,7 @@ The accumulators (:class:`RunningAverage`, :class:`Counter`) are shared
 between the training loop and the serving metrics path
 (:mod:`repro.serve.metrics`), so they synchronise internally: every update
 and read takes a small lock, making concurrent use from batcher workers and
-HTTP handler threads race-free while staying cheap enough for the per-epoch
+the HTTP loop thread race-free while staying cheap enough for the per-epoch
 training loop that only ever touches them from one thread.
 """
 
@@ -74,7 +74,7 @@ class Counter:
     """A monotonically increasing, thread-safe event counter.
 
     Plain ``int += 1`` is not atomic across the serving layer's batcher and
-    HTTP handler threads; this wraps the increment in a lock and exposes the
+    HTTP loop threads; this wraps the increment in a lock and exposes the
     value as a property so metric snapshots read consistent totals.
     """
 

@@ -5,8 +5,11 @@ from __future__ import annotations
 import http.client
 import io
 import json
+import os
 import pickle
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -40,6 +43,12 @@ def server():
     srv.stop()
 
 
+@pytest.fixture()
+def client(server):
+    with PredictClient(server.url) as c:
+        yield c
+
+
 def _post_raw(url: str, body: bytes, content_type: str = "application/json"):
     req = urllib.request.Request(
         f"{url}/v1/predict", data=body, headers={"Content-Type": content_type}, method="POST"
@@ -48,12 +57,13 @@ def _post_raw(url: str, body: bytes, content_type: str = "application/json"):
         with urllib.request.urlopen(req, timeout=15) as resp:
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+        with exc:
+            return exc.code, json.loads(exc.read())
 
 
 class TestEndpoints:
-    def test_healthz(self, server):
-        health = PredictClient(server.url).healthz()
+    def test_healthz(self, server, client):
+        health = client.healthz()
         assert health == {"status": "ok", "models": ["net4"]}
 
     def test_index_lists_endpoints(self, server):
@@ -61,28 +71,27 @@ class TestEndpoints:
             payload = json.loads(resp.read())
         assert "POST /v1/predict" in payload["endpoints"]
 
-    def test_predict_single_exact(self, server):
+    def test_predict_single_exact(self, server, client):
         images = sample_images(3, seed=30)
         serial = server.registry.get("net4").engine.predict_logits(images)
-        result = PredictClient(server.url).predict(images[1], model="net4")
+        result = client.predict(images[1], model="net4")
         np.testing.assert_array_equal(result.logits, serial[1])
         assert result.predictions == int(np.argmax(serial[1]))
 
-    def test_predict_without_model_name_single_registration(self, server):
+    def test_predict_without_model_name_single_registration(self, server, client):
         images = sample_images(1, seed=31)
         serial = server.registry.get("net4").engine.predict_logits(images)
-        result = PredictClient(server.url).predict(images[0])
+        result = client.predict(images[0])
         np.testing.assert_array_equal(result.logits, serial[0])
 
-    def test_predict_batch(self, server):
+    def test_predict_batch(self, server, client):
         images = sample_images(5, seed=32)
         serial = server.registry.get("net4").engine.predict_logits(images)
-        result = PredictClient(server.url).predict_batch(images)
+        result = client.predict_batch(images)
         np.testing.assert_array_equal(result.logits, serial)
         assert result.predictions == [int(v) for v in np.argmax(serial, axis=1)]
 
-    def test_metrics_endpoint(self, server):
-        client = PredictClient(server.url)
+    def test_metrics_endpoint(self, client):
         client.predict(sample_images(1)[0])
         snap = client.metrics()
         assert snap["server"]["http_requests"] >= 1
@@ -90,14 +99,14 @@ class TestEndpoints:
 
 
 class TestErrorMapping:
-    def test_unknown_path_404(self, server):
+    def test_unknown_path_404(self, server, client):
         with pytest.raises(ServeHTTPError) as err:
-            PredictClient(server.url)._request("/v1/nope", {"x": 1})
+            client._request("/v1/nope", {"x": 1})
         assert err.value.status == 404
 
-    def test_unknown_model_404(self, server):
+    def test_unknown_model_404(self, server, client):
         with pytest.raises(ServeHTTPError) as err:
-            PredictClient(server.url).predict(sample_images(1)[0], model="resnet999")
+            client.predict(sample_images(1)[0], model="resnet999")
         assert err.value.status == 404
         assert "resnet999" in str(err.value)
 
@@ -117,9 +126,9 @@ class TestErrorMapping:
         status, _ = _post_raw(server.url, b'{"image": [], "images": []}')
         assert status == 400
 
-    def test_bad_image_shape_400(self, server):
+    def test_bad_image_shape_400(self, server, client):
         with pytest.raises(ServeHTTPError) as err:
-            PredictClient(server.url).predict(np.zeros((16, 16)))  # 2-D, not CHW
+            client.predict(np.zeros((16, 16)))  # 2-D, not CHW
         assert err.value.status == 400
 
     def test_ragged_image_400(self, server):
@@ -162,6 +171,7 @@ class TestErrorMapping:
                 errors.append(exc)
             entry.batcher.resume()
             t.join(10)
+            client.close()
             assert errors and errors[0].status == 503 and errors[0].shed
         assert entry.metrics.shed.value == 1
 
@@ -197,6 +207,7 @@ class TestGracefulShutdown:
         srv.stop(drain=True)  # drain overrides pause; all six must answer
         for t in threads:
             t.join(15)
+        client.close()
         assert not failures, failures
         assert sorted(results) == list(range(len(images)))
         for i, logits in results.items():
@@ -292,13 +303,13 @@ class TestTransport:
         from repro.serve import http as serve_http
 
         seen: "list[bool]" = []
-        original = serve_http._Handler.setup
+        original = serve_http._Conn.__init__
 
-        def setup(handler):
-            original(handler)
-            seen.append(_nodelay(handler.connection))
+        def init(conn, sock):
+            original(conn, sock)
+            seen.append(_nodelay(conn.sock))
 
-        monkeypatch.setattr(serve_http._Handler, "setup", setup)
+        monkeypatch.setattr(serve_http._Conn, "__init__", init)
         client = PredictClient(server.url)
         client.healthz()
         client.close()
@@ -307,14 +318,14 @@ class TestTransport:
     def test_client_socket_has_nodelay(self, server):
         client = PredictClient(server.url)
         client.predict(sample_images(1, seed=50)[0])
-        assert _nodelay(client._local.conn.sock)
+        assert _nodelay(client._local.sock)
         client.close()
 
     def test_client_nodelay_survives_reconnect(self, server):
         client = PredictClient(server.url, backoff_base_s=0.0, backoff_jitter=0.0)
         image = sample_images(1, seed=51)[0]
         client.predict(image)
-        first = client._local.conn
+        first = client._local.sock
         drops = [ConnectionResetError("injected drop")]
 
         def drop_once():
@@ -324,8 +335,8 @@ class TestTransport:
         client.pre_request_hook = drop_once
         client.predict(image)
         assert not drops  # the hook fired and forced a reconnect
-        assert client._local.conn is not first
-        assert _nodelay(client._local.conn.sock)
+        assert client._local.sock is not first
+        assert _nodelay(client._local.sock)
         client.close()
 
     def test_keepalive_predict_is_off_the_delayed_ack_floor(self, server):
@@ -541,6 +552,7 @@ class TestQueryStringRouting:
     def test_unknown_path_with_query_still_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(f"{server.url}/nope?x=1", timeout=15)
+        err.value.close()
         assert err.value.code == 404
 
     def test_unknown_post_path_closes_the_connection(self, server):
@@ -566,3 +578,282 @@ class TestPredictFormatMetrics:
         _post_npy(server.url, np.zeros((16, 16)))  # malformed requests count too
         assert client.metrics()["server"]["predict_requests"] == {"json": 1, "npy": 3}
         client.close()
+
+
+# -- the event loop: framing, ordering, slow peers, limits ------------------------
+
+
+def _read_answer(reader) -> "tuple[int, dict[str, str], bytes]":
+    """One response from a socket's ``makefile("rb")``: (status, headers, body)."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = reader.read(int(headers.get("content-length", 0)))
+    return status, headers, body
+
+
+def _npy_request(image, path: str = "/v1/predict", extra: bytes = b"") -> bytes:
+    body = _npy(image)
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Type: application/x-npy\r\n"
+        f"Content-Length: {len(body)}\r\n".encode() + extra + b"\r\n" + body
+    )
+
+
+def _connect(server) -> socket.socket:
+    return socket.create_connection(("127.0.0.1", server.port), timeout=15)
+
+
+class TestEventLoop:
+    def test_pipelined_requests_in_one_send_answer_in_order(self, server):
+        images = sample_images(2, seed=70)
+        serial = server.registry.get("net4").engine.predict_logits(images)
+        with _connect(server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(_npy_request(images[0]) + _npy_request(images[1]))
+            for i in range(2):
+                status, _, body = _read_answer(reader)
+                assert status == 200
+                np.testing.assert_array_equal(json.loads(body)["logits"], serial[i])
+
+    def test_request_sent_one_byte_at_a_time(self, server):
+        image = sample_images(1, seed=71)[0]
+        serial = server.registry.get("net4").engine.predict_logits(image[None])[0]
+        request = _npy_request(image)
+        with _connect(server) as sock, sock.makefile("rb") as reader:
+            for i in range(len(request)):
+                sock.send(request[i : i + 1])
+            status, _, body = _read_answer(reader)
+        assert status == 200
+        np.testing.assert_array_equal(json.loads(body)["logits"], serial)
+
+    def test_expect_100_continue_gets_an_interim_answer(self, server):
+        image = sample_images(1, seed=72)[0]
+        serial = server.registry.get("net4").engine.predict_logits(image[None])[0]
+        request = _npy_request(image, extra=b"Expect: 100-continue\r\n")
+        head, body = request.split(b"\r\n\r\n", 1)
+        with _connect(server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(head + b"\r\n\r\n")
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reader.readline() == b"\r\n"
+            sock.sendall(body)
+            status, _, answer = _read_answer(reader)
+        assert status == 200
+        np.testing.assert_array_equal(json.loads(answer)["logits"], serial)
+
+    def test_head_over_64_kib_gets_431_and_close(self, server):
+        with _connect(server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * (64 * 1024) + b"\r\n\r\n")
+            status, headers, _ = _read_answer(reader)
+            assert status == 431 and headers["connection"] == "close"
+            assert reader.read() == b""  # the server closed the connection
+
+    def test_rejected_body_still_streaming_reads_the_answer_not_a_reset(self, server):
+        # 413 for a body that is still arriving: the server answers, then
+        # discards input until the client is done, instead of resetting.
+        with _connect(server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(
+                b"POST /v1/predict HTTP/1.1\r\nContent-Type: application/x-npy\r\n"
+                b"Content-Length: 99999999999\r\n\r\n"
+            )
+            sock.sendall(b"\0" * (4 * 1024 * 1024))
+            status, headers, _ = _read_answer(reader)
+            assert status == 413 and headers["connection"] == "close"
+            assert reader.read() == b""
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",  # the body is never read
+        ],
+        ids=["http-1.0", "connection-close", "get-with-body"],
+    )
+    def test_request_that_ends_the_connection_is_answered_then_closed(self, server, request_bytes):
+        with _connect(server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(request_bytes)
+            status, headers, body = _read_answer(reader)
+            assert status == 200 and json.loads(body)["models"] == ["net4"]
+            assert headers["connection"] == "close"
+            assert reader.read() == b""
+
+    def test_a_client_that_never_reads_does_not_stall_others(self, server):
+        # Enough pipelined /metrics answers to fill both socket buffers, so
+        # the server is left holding unsent bytes for this connection.
+        stalled = socket.socket()
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        stalled.connect(("127.0.0.1", server.port))
+        try:
+            stalled.sendall(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n" * 4000)
+            loop = server._server
+            for _ in range(500):
+                if any(conn.out is not None for conn in list(loop._conns)):
+                    break
+                time.sleep(0.01)
+            assert any(conn.out is not None for conn in list(loop._conns))
+            images = sample_images(4, seed=73)
+            serial = server.registry.get("net4").engine.predict_logits(images)
+            client = PredictClient(server.url, timeout_s=10)
+            got: "dict[int, list[np.ndarray]]" = {}
+
+            def call(i: int) -> None:
+                got[i] = [client.predict(images[i]).logits for _ in range(5)]
+
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            client.close()
+            assert not any(t.is_alive() for t in threads)
+            for i in range(4):
+                for logits in got[i]:
+                    np.testing.assert_array_equal(logits, serial[i])
+        finally:
+            stalled.close()
+
+    def test_64_concurrent_keepalive_connections_exact(self, server):
+        n = 64
+        images = sample_images(n, seed=74)
+        serial = server.registry.get("net4").engine.predict_logits(images)
+        client = PredictClient(server.url, timeout_s=30)
+        connected = threading.Barrier(n + 1, timeout=30)
+        results: "dict[int, list[np.ndarray]]" = {}
+        failures: "list[Exception]" = []
+
+        def call(i: int) -> None:
+            try:
+                results[i] = [client.predict(images[i]).logits]
+                connected.wait()  # every connection is open at once
+                connected.wait()
+                results[i] += [client.predict(images[i]).logits for _ in range(2)]
+            except Exception as exc:  # pragma: no cover - failure diagnostics
+                failures.append(exc)
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        connected.wait()
+        with PredictClient(server.url) as probe:
+            assert probe.metrics()["server"]["connections_open"] == n + 1
+        connected.wait()
+        for t in threads:
+            t.join(60)
+        client.close()
+        assert not failures, failures[:3]
+        for i in range(n):
+            assert len(results[i]) == 3
+            for logits in results[i]:
+                np.testing.assert_array_equal(logits, serial[i])
+
+    def test_request_timeout_still_gives_504(self):
+        registry = ModelRegistry(BatcherConfig(max_batch_size=4))
+        entry = registry.register("net4", build_small_network(4))
+        with ModelServer(registry, ServerConfig(port=0, request_timeout_s=0.3)) as srv:
+            entry.batcher.pause()
+            with PredictClient(srv.url) as client:
+                start = time.monotonic()
+                with pytest.raises(ServeHTTPError) as err:
+                    client.predict(sample_images(1, seed=75)[0])
+                elapsed = time.monotonic() - start
+                assert err.value.status == 504 and "request timeout" in str(err.value)
+                assert 0.25 < elapsed < 5.0
+            entry.batcher.resume()
+
+    def test_metrics_count_open_connections_and_inflight_requests(self):
+        registry = ModelRegistry(BatcherConfig(max_batch_size=4))
+        entry = registry.register("net4", build_small_network(4))
+        with ModelServer(registry, ServerConfig(port=0, request_timeout_s=15.0)) as srv:
+            with PredictClient(srv.url) as probe:
+                # The /metrics request itself is open and in flight.
+                server = probe.metrics()["server"]
+                assert (server["connections_open"], server["requests_inflight"]) == (1, 1)
+                entry.batcher.pause()
+                with PredictClient(srv.url) as client:
+                    waiter = threading.Thread(
+                        target=client.predict, args=(sample_images(1, seed=76)[0],)
+                    )
+                    waiter.start()
+                    for _ in range(500):
+                        if entry.batcher.queue_depth == 1:
+                            break
+                        time.sleep(0.01)
+                    server = probe.metrics()["server"]
+                    assert (server["connections_open"], server["requests_inflight"]) == (2, 2)
+                    entry.batcher.resume()
+                    waiter.join(15)
+                    assert not waiter.is_alive()
+                server = probe.metrics()["server"]
+                assert server["requests_inflight"] == 1
+
+
+def test_import_loads_no_stdlib_http_machinery():
+    code = (
+        "import sys, repro.serve; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('email', 'socketserver') "
+        "or m in ('http.server', 'http.client')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+# -- .npy codec parity with numpy's reader and writer -----------------------------
+
+
+def _npy_file(array: np.ndarray, version) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array, version=version, allow_pickle=False)
+    return buf.getvalue()
+
+
+_DTYPES = ["<f8", "<f4", ">f8", "<i4", "u1", "bool"]
+
+
+@pytest.mark.parametrize("dtype", _DTYPES)
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("version", [(1, 0), (2, 0)])
+@pytest.mark.parametrize("shape", [(3, 4, 5), (2, 3, 4, 5)])
+def test_npy_decode_matches_read_array(monkeypatch, dtype, order, version, shape):
+    from repro.serve import http as serve_http
+
+    values = np.random.default_rng(0).normal(0, 50, shape)
+    array = np.asarray(values.astype(dtype), order=order)
+    body = _npy_file(array, version)
+    expected = np.lib.format.read_array(io.BytesIO(body), allow_pickle=False)
+    cache: dict = {}
+    first, single = serve_http._parse_npy(body, cache)  # parsed, then cached
+    assert len(cache) == 1 and single == (len(shape) == 3)
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("a cached header was parsed again")
+
+    monkeypatch.setattr(serve_http.np.lib.format, "read_array", no_reader)
+    second, _ = serve_http._parse_npy(body, cache)
+    monkeypatch.undo()
+    want = [expected] if single else list(expected)
+    for got in (first, second):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64
+            np.testing.assert_array_equal(g, w.astype(np.float64))
+    for bad in (body[:-1], body + b"\0"):  # a cached header does not relax the length check
+        with pytest.raises(serve_http._RequestError) as err:
+            serve_http._parse_npy(bad, cache)
+        assert err.value.status == 400
+
+
+@pytest.mark.parametrize("dtype", _DTYPES)
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_client_npy_encoding_matches_np_save(dtype, order):
+    client = PredictClient("http://127.0.0.1:9")
+    for seed in range(2):  # header built, then reused
+        values = np.random.default_rng(seed).normal(0, 50, (2, 3, 4, 5))
+        array = np.asarray(values.astype(dtype), order=order)
+        assert client._encode_npy(array) == _npy(array)
+        assert client._encode_npy(array[0]) == _npy(array[0])

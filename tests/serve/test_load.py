@@ -48,8 +48,8 @@ def test_load_512_concurrent_requests_parity_and_reconciliation():
     lock = threading.Lock()
     next_index = iter(range(TOTAL_REQUESTS))
 
-    with ModelServer(registry, ServerConfig(port=0, request_timeout_s=60.0)) as server:
-        client = PredictClient(server.url, timeout_s=60.0)
+    with ModelServer(registry, ServerConfig(port=0, request_timeout_s=60.0)) as server, \
+            PredictClient(server.url, timeout_s=60.0) as client:
 
         def worker():
             while True:
@@ -111,8 +111,8 @@ def test_load_shedding_gives_explicit_503s_and_reconciles():
     images = sample_images(queue_depth + overflow, seed=41)
     serial = entry.engine.predict_logits(images)
 
-    with ModelServer(registry, ServerConfig(port=0, request_timeout_s=30.0)) as server:
-        client = PredictClient(server.url, timeout_s=30.0)
+    with ModelServer(registry, ServerConfig(port=0, request_timeout_s=30.0)) as server, \
+            PredictClient(server.url, timeout_s=30.0) as client:
         # Wedge the batcher so exactly queue_depth requests can be admitted.
         entry.batcher.pause()
         statuses: "dict[int, str]" = {}
