@@ -12,10 +12,9 @@ synthetic CIFAR-shaped data for the small Table-1 configurations, plus:
   engine's default float64 precision;
 * a sparsity sweep: synthetically sparsified nets
   (:func:`~repro.quant.sparsify.sparsify_model`) at several dead-filter
-  fractions, timing the sparsity-aware engine (dead-filter pruning +
-  autotuned shift-plane kernels) against the PR 1 dense engine
-  (``PlanConfig(prune=False, kernel="dense")``) so the speedup-vs-sparsity
-  curve is tracked across PRs.  Every engine row also records its plan's
+  fractions, timing the sparsity-aware engine (dead-filter pruning)
+  against the unpruned engine (``PlanConfig(prune=False)``) so the
+  speedup-vs-sparsity curve is tracked across PRs.  Every engine row also records its plan's
   kernel choices, k_i histogram and pruned-filter counts;
 * a fusion sweep: the traced-program executor (fused codegen kernels,
   liveness-based buffer reuse, batch blocking — ``PlanConfig(trace=True)``)
@@ -49,7 +48,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import statistics
 import time
 from pathlib import Path
@@ -82,8 +80,8 @@ PARITY_WIDTH_SCALE = {3: 0.25, 7: 0.25, 8: 0.5}
 # at >= 30% dead filters.
 SPARSITY_CONFIGS = (1, 4)
 SPARSITY_FRACTIONS = (0.3, 0.5, 0.7)
-# PR 1 equivalent: no pruning, plain dense im2col GEMM kernels.
-DENSE_BASELINE = PlanConfig(prune=False, kernel="dense")
+# PR 1 equivalent: no pruning.
+DENSE_BASELINE = PlanConfig(prune=False)
 # Fusion sweep: traced-program executor (fused codegen kernels, liveness
 # buffer reuse, batch blocking) against the same plan run op-by-op.  The PR
 # acceptance bar is >= 1.3x at batch 1 and >= 1.15x at batch 64 on at least
@@ -91,8 +89,8 @@ DENSE_BASELINE = PlanConfig(prune=False, kernel="dense")
 FUSION_CONFIGS = (1, 2, 4, 5)
 FUSION_BATCHES = (1, 64)
 # PR 5 dense path: same kernels/pruning state, no tracing.
-UNTRACED_BASELINE = PlanConfig(prune=False, kernel="dense", trace=False)
-TRACED_FUSED = PlanConfig(prune=False, kernel="dense")  # trace/fuse default on
+UNTRACED_BASELINE = PlanConfig(prune=False, trace=False)
+TRACED_FUSED = PlanConfig(prune=False)  # trace/fuse default on
 # Integer-only sweep: int8 execution mode vs the float64 engine.  Parity is
 # checked on every Table-1 structure; only the small nets are timed.
 INT_CONFIGS = (1, 4, 5)
@@ -522,8 +520,8 @@ def _per_kind_ms(engine: InferenceEngine, images: np.ndarray, calls: int) -> dic
         engine.profiler = None
     kinds: dict[str, float] = {}
     for phase, seconds in totals.items():
-        # "ir3:conv[dense]+lrelu+aq" -> conv; "ir7:aq" -> eltwise
-        kind = re.split(r"[\[+]", phase.split(":", 1)[-1])[0]
+        # "ir3:conv+lrelu+aq" -> conv; "ir7:aq" -> eltwise
+        kind = phase.split(":", 1)[-1].split("+")[0]
         kind = kind if kind in _NAMED_KINDS else "eltwise"
         kinds[kind] = kinds.get(kind, 0.0) + seconds * 1e3 / calls
     return dict(sorted(kinds.items()))
@@ -532,7 +530,7 @@ def _per_kind_ms(engine: InferenceEngine, images: np.ndarray, calls: int) -> dic
 def _native_row(network_id: int, reps: int, batches: tuple[int, ...] = NATIVE_BATCHES) -> dict:
     """Time the native C kernels against the numpy codegen on the same plan,
     in both execution dtypes, with bitwise-equality checks and the per-layer
-    backend selections the autotuner/self-check ladder actually made."""
+    backend outcomes of the bind/self-check ladder."""
     model = _build(network_id)
     engines = {
         "numpy": InferenceEngine(model, config=PlanConfig(backend="numpy")),
@@ -715,7 +713,7 @@ def main(argv=None) -> None:
     parser.add_argument(
         "--clear-cache",
         action="store_true",
-        help="clear the in-memory and on-disk kernel/autotune/native caches "
+        help="clear the in-memory kernel cache and the on-disk native cache "
         "before running, for cold-cache measurements",
     )
     parser.add_argument(
@@ -726,7 +724,7 @@ def main(argv=None) -> None:
         from repro.infer import clear_caches
 
         clear_caches(disk=True)
-        print("kernel/autotune/native caches cleared (memory + disk)")
+        print("kernel/native caches cleared (memory + disk)")
     if args.native_sweep:
         sweep = run_native_sweep(reps=args.reps, smoke=args.smoke)
         result = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -2,19 +2,20 @@
 
 Turns a trained :class:`~repro.models.network.QuantizedNetwork` into a flat
 grad-free execution plan with quantized-weight caching, conv+BN folding,
-scratch-buffer reuse and multicore batch sharding.  Sparsity-aware passes
-(dead-filter elimination, shift-plane kernels, per-layer kernel autotuning)
-run at plan time under :class:`~repro.infer.plan.PlanConfig`; execution then
-goes through shape-specialized traced programs — fused, codegen'd kernels
-with liveness-reused buffers (:mod:`repro.infer.trace`,
-:mod:`repro.infer.fuse`, :mod:`repro.infer.kernels`) — bitwise-identical to
-the op-by-op interpreter.  See
+scratch-buffer reuse and multicore batch sharding.  Dead-filter
+elimination runs at plan time under :class:`~repro.infer.plan.PlanConfig`;
+every conv/linear then runs one kernel, the im2col GEMM.  Execution goes
+through shape-specialized traced programs — fused, codegen'd kernels with
+liveness-reused buffers (:mod:`repro.infer.trace`, :mod:`repro.infer.fuse`,
+:mod:`repro.infer.kernels`) — bitwise-identical to the op-by-op
+interpreter.  See
 :class:`~repro.infer.engine.InferenceEngine` for the entry point.
 """
 
 from repro.infer.engine import InferenceEngine
 from repro.infer.fold import bn_eval_affine, dead_filter_rows
 from repro.infer.intq import IntQProgram, PackedWeights, build_intq_program, pack_weights
+from repro.infer.intq.pack import supports_shift_planes
 from repro.infer.kernels import cache_info, clear_caches
 from repro.infer.plan import (
     ExecutionContext,
@@ -24,7 +25,6 @@ from repro.infer.plan import (
     plan_dtype,
 )
 from repro.infer.pool import run_sharded, shard_slices
-from repro.infer.shift_plane import build_shift_planes, supports_shift_planes
 from repro.infer.trace import build_traced_program, trace_plan
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "plan_dtype",
     "bn_eval_affine",
     "dead_filter_rows",
-    "build_shift_planes",
     "supports_shift_planes",
     "build_traced_program",
     "trace_plan",

@@ -72,14 +72,13 @@ class InferenceEngine:
             ``dtype=plan_dtype(model)`` to opt into the float32 deployment
             mode for quantized networks (see
             :func:`~repro.infer.plan.plan_dtype`).
-        config: Sparsity/trace-pass knobs
-            (:class:`~repro.infer.plan.PlanConfig`): dead-filter pruning,
-            kernel selection (dense / shift-plane / autotuned), traced-
-            program execution (``trace``/``fuse``) and the all-dead-layer
-            policy.  The same config is reused on every structural rebuild.
+        config: Plan knobs (:class:`~repro.infer.plan.PlanConfig`):
+            dead-filter pruning and the all-dead-layer policy, traced-
+            program execution (``trace``/``fuse``), compute dtype and
+            kernel backend.  The same config is reused on every structural rebuild.
         profile: Attach a :class:`~repro.utils.profiler.PhaseProfiler` to
             this engine and time every execution phase with per-IR-op names
-            (``ir3:conv[dense]+lrelu+aq`` on the traced path,
+            (``ir3:conv+lrelu+aq`` on the traced path,
             ``op3:ConvOp`` on the interpreter), accumulated across batches
             and surfaced through :meth:`plan_summary` under ``"timings"``.
             Off by default — the per-op timer calls cost a few percent.
@@ -179,9 +178,9 @@ class InferenceEngine:
 
         Falls back to a full plan rebuild when the stale weights changed
         the dead-filter structure (see :meth:`_refresh_stale_locked`) — the
-        serving layer's hot weight refresh relies on this to rebuild
-        pruning/shift-plane/autotune state instead of re-quantizing into a
-        stale channel layout.
+        serving layer's hot weight refresh relies on this to rebuild the
+        pruning state instead of re-quantizing into a stale channel
+        layout.
         """
         with self._refresh_lock:
             stale = self.plan.stale_bindings()

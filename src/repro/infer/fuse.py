@@ -158,10 +158,7 @@ def _node_scratch(node, vals, inplace: bool):
     """Scratch requests of ``node``'s generated kernel (bind order)."""
     op = node.op
     if node.kind in ("conv", "linear"):
-        impl = getattr(op, "impl", "dense")
-        return kernels.producer_scratch(
-            node.kind, op, vals[node.srcs[0]].shape, impl, node.epilogue
-        )
+        return kernels.producer_scratch(node.kind, op, vals[node.srcs[0]].shape, node.epilogue)
     if node.kind == "eltwise":
         chain = [node.head] + node.epilogue
         return kernels.eltwise_scratch(chain, vals[node.dst].shape[1:], inplace)
@@ -171,12 +168,7 @@ def _node_scratch(node, vals, inplace: bool):
 
 
 def _phase_name(node) -> str:
-    if node.kind in ("conv", "linear"):
-        base = f"{node.kind}[{getattr(node.op, 'impl', 'dense')}]"
-    elif node.kind == "eltwise":
-        base = node.head[0]
-    else:
-        base = node.kind
+    base = node.head[0] if node.kind == "eltwise" else node.kind
     return f"ir{node.index}:" + "+".join([base] + [step[0] for step in node.epilogue])
 
 
@@ -234,29 +226,20 @@ class TracedProgram:
         self.blocks = blocks  # [(start, end)] batch blocks
         self.bmax = max(e - s for s, e in blocks)
         self.stats = stats
-        #: Plan-level backend policy ("numpy" | "native" | "auto") and the
-        #: per-node outcome records (filled at bind/first-run time by
+        #: Plan-level backend policy ("auto" | "numpy") and the per-node
+        #: outcome records (filled at bind/first-run time by
         #: :mod:`repro.infer.kernels` / the native binding's self-check).
         self.backend = backend
         self.node_backends: dict[int, dict] = {}
 
     def _node_backend(self, node) -> tuple[str, dict]:
-        """(effective backend for this node's bind, its outcome record).
+        """(backend to try for this node's bind, its outcome record).
 
-        ``"numpy"`` at the program level wins everywhere; a per-op choice
-        (autotune's measured pick) beats the program default; otherwise
-        ``"auto"``/``"native"`` both try the native backend — it declines
-        or self-demotes per kernel, so trying is always safe.
+        ``"auto"`` tries the native backend on every node — it declines or
+        self-demotes per kernel, so trying is always safe.
         """
-        rec = self.node_backends.setdefault(
-            node.index, {"kind": node.kind, "impl": getattr(node.op, "impl", "")}
-        )
-        if self.backend == "numpy":
-            return "numpy", rec
-        op_choice = getattr(node.op, "backend", "auto")
-        if op_choice != "auto":
-            return op_choice, rec
-        return "native", rec
+        rec = self.node_backends.setdefault(node.index, {"kind": node.kind})
+        return ("numpy" if self.backend == "numpy" else "native"), rec
 
     def backend_counts(self) -> dict:
         """``{"native": n, "numpy": m}`` over nodes bound so far."""
@@ -305,15 +288,13 @@ class TracedProgram:
             dstv = self._view(state, node.dst, blk)
             out3 = dstv.reshape(dstv.shape[0], dstv.shape[1], -1)
             return kernels.bind_producer(
-                "conv", op, x, out3, scratch, op.impl, node.epilogue, self.dtype,
-                backend, rec,
+                "conv", op, x, out3, scratch, node.epilogue, self.dtype, backend, rec
             )
         if kind == "linear":
             x = self._view(state, node.srcs[0], blk)
             out = self._view(state, node.dst, blk)
             return kernels.bind_producer(
-                "linear", op, x, out, scratch, op.impl, node.epilogue, self.dtype,
-                backend, rec,
+                "linear", op, x, out, scratch, node.epilogue, self.dtype, backend, rec
             )
         if kind == "eltwise":
             x = self._view(state, node.srcs[0], blk)
@@ -410,7 +391,7 @@ class TracedProgram:
 def _naive_bytes(ir) -> int:
     """Intermediate bytes the op-by-op interpreter holds for this program:
     one full-batch buffer per op output plus each op's private scratch
-    (pad / im2col columns / plane partials / elementwise temporaries)."""
+    (pad / im2col columns / elementwise temporaries)."""
     n = ir.input_shape[0]
     itemsize = np.dtype(ir.dtype).itemsize
     elems = 0
@@ -572,5 +553,5 @@ def optimize(ir, plan) -> TracedProgram:
         zero_regs,
         blocks,
         stats,
-        backend=getattr(plan.config, "backend", "auto"),
+        backend=plan.config.backend,
     )

@@ -25,6 +25,12 @@ end-to-end in integer arithmetic:
   MAC sum fits and int64 otherwise, and a layer whose requantization
   product could exceed int64 fails compilation rather than wrapping.
 
+Each integer conv/linear runs one kernel — an integer GEMM against the
+weights decoded from the packed shift codes — on the native C backend
+wherever it binds and passes its first-call bitwise self-check, and on the
+numpy codegen otherwise (``PlanConfig.backend``).  No choice here depends
+on a timing.
+
 Floats appear exactly twice: quantizing the network input onto its first
 grid and dequantizing the final logits — everything in between, including
 every conv/linear inner loop, is integer shifts, adds and multiplies.
@@ -34,7 +40,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +50,6 @@ from repro.infer.fold import bn_eval_affine
 from repro.infer.intq.kernels import bind_int_kernel
 from repro.infer.intq.pack import PackedWeights, pack_weights
 from repro.infer.intq.requant import quantize_multiplier, quantize_multiplier_array
-from repro.infer.kernels import AUTOTUNE_CACHE
 from repro.infer.plan import (
     ActQuantOp,
     AddOp,
@@ -85,6 +89,16 @@ _INT64_GUARD = 2**62
 
 logger = logging.getLogger("repro.infer.intq")
 _native_warned = False
+
+
+def _native_available() -> bool:
+    """Whether the native C backend can compile kernels on this host."""
+    try:
+        from repro.infer.native import binding
+
+        return binding.available()
+    except Exception:
+        return False
 
 
 def _native_int(ctx, op, kind: str, data: np.ndarray, out: np.ndarray, numpy_run) -> bool:
@@ -383,7 +397,7 @@ class IntAffineOp:
 
 @dataclass
 class IntConvOp:
-    """Integer convolution: im2col + shift-accumulate/GEMM + requant epilogue."""
+    """Integer convolution: im2col + integer GEMM + requant epilogue."""
 
     index: int
     src: int
@@ -392,11 +406,9 @@ class IntConvOp:
     stride: int
     padding: int
     filters: int
-    impl: str
     acc_dtype: str
     out_dtype: str
     flags: tuple
-    group_shifts: tuple
     consts: dict = field(repr=False)
     backend: str = "auto"
 
@@ -434,15 +446,9 @@ class IntConvOp:
                 acc if mat_dt == np.int64 else ctx.buffer(self.index, "acc64", acc.shape, np.int64)
             )
             kernel = bind_int_kernel(
-                "conv", self.impl, (n, f, cols.shape[1], oh * ow),
-                mat_dt, self.flags, self.group_shifts, self.consts,
+                "conv", (n, f, cols.shape[1], oh * ow), mat_dt, self.flags, self.consts
             )
-            if self.impl == "intq_shift":
-                shifted = ctx.buffer(self.index, "shifted", cols.shape, mat_dt)
-                part = ctx.buffer(self.index, "part", acc.shape, mat_dt)
-                kernel(cols, shifted, part, acc, acc64, out)
-            else:
-                kernel(cols, acc, acc64, out)
+            kernel(cols, acc, acc64, out)
 
         if self.backend == "numpy" or not _native_int(ctx, self, "conv", cols, out, run_numpy):
             run_numpy()
@@ -451,17 +457,15 @@ class IntConvOp:
 
 @dataclass
 class IntLinearOp:
-    """Integer affine map: shift-accumulate/GEMM + requant epilogue."""
+    """Integer affine map: integer GEMM + requant epilogue."""
 
     index: int
     src: int
     dst: int
     filters: int
-    impl: str
     acc_dtype: str
     out_dtype: str
     flags: tuple
-    group_shifts: tuple
     consts: dict = field(repr=False)
     backend: str = "auto"
 
@@ -481,16 +485,8 @@ class IntLinearOp:
             acc64 = (
                 acc if mat_dt == np.int64 else ctx.buffer(self.index, "acc64", acc.shape, np.int64)
             )
-            kernel = bind_int_kernel(
-                "linear", self.impl, (n, f, xin.shape[1]),
-                mat_dt, self.flags, self.group_shifts, self.consts,
-            )
-            if self.impl == "intq_shift":
-                shifted = ctx.buffer(self.index, "shifted", xin.shape, mat_dt)
-                part = ctx.buffer(self.index, "part", acc.shape, mat_dt)
-                kernel(xin, shifted, part, acc, acc64, out)
-            else:
-                kernel(xin, acc, acc64, out)
+            kernel = bind_int_kernel("linear", (n, f, xin.shape[1]), mat_dt, self.flags, self.consts)
+            kernel(xin, acc, acc64, out)
 
         if self.backend == "numpy" or not _native_int(ctx, self, "linear", xin, out, run_numpy):
             run_numpy()
@@ -522,7 +518,7 @@ class IntQProgram:
         self.ops = ops
         self.out_slot = out_slot
         self.input_chw = input_chw
-        #: Per weighted layer: impl, accumulator dtype, measured shift/add/
+        #: Per weighted layer: kernel, accumulator dtype, measured shift/add/
         #: multiply counts per image, in/out scales (see ``summary_block``).
         self.layers = layers
         self.calibration = calibration
@@ -572,7 +568,7 @@ class _IntQBuilder:
     def __init__(self, plan, images: np.ndarray) -> None:
         self.plan = plan
         self.images = np.asarray(images, dtype=np.float64)
-        self.config = plan.config
+        self.backend = plan.config.backend
         self.spec: dict[int, GridSpec] = {}
         self.stats: dict[int, dict] = {}
         self.ops: list = []
@@ -798,7 +794,7 @@ class _IntQBuilder:
             dmap = np.rint(fmap / step_out).astype(np.int64)
 
         row_bound = np.abs(w_int).sum(axis=1) * spec_in.bound
-        mac_bound = bound_acc = int(row_bound.max(initial=0))
+        bound_acc = int(row_bound.max(initial=0))
         rq_bits = min(RQ_BITS_MAX, 61 - max(bound_acc, 1).bit_length())
         if rq_bits < 8:
             raise CompileError(
@@ -813,10 +809,7 @@ class _IntQBuilder:
                 f"op {op.index}: requantization product exceeds the int64 guard"
             )
 
-        group_shifts = tuple(d for d, _ in packed.groups) if packed.groups else ()
-        max_shift = max(group_shifts, default=0)
-        acc32 = mac_bound < _INT32_LIMIT and (spec_in.bound << max_shift) < _INT32_LIMIT
-        acc_dt = np.dtype(np.int32 if acc32 else np.int64)
+        acc_dt = np.dtype(np.int32 if bound_acc < _INT32_LIMIT else np.int64)
         m_abs_max = float(np.abs(m).max(initial=0.0))
         bound_out = int(math.ceil(bound_acc * m_abs_max)) + int(np.abs(gb).max(initial=0)) + 1
         if dmap is not None:
@@ -844,29 +837,21 @@ class _IntQBuilder:
             consts["GB"] = chan(gb)
         w_mat = w_int.astype(acc_dt)
         consts["W"] = np.ascontiguousarray(w_mat.T) if linear else w_mat
-        if packed.groups:
-            for i, (_, s_mat) in enumerate(packed.groups):
-                s_cast = s_mat.astype(acc_dt)
-                consts[f"S{i}"] = np.ascontiguousarray(s_cast.T) if linear else s_cast
 
         index = self._next_index()
+        backend = "numpy" if self.backend == "numpy" or not _native_available() else "native"
         if linear:
             int_op = IntLinearOp(
-                index, op.src, op.dst, f, "intq_gemm", str(acc_dt), str(out_spec.dtype),
-                flags, group_shifts, consts,
+                index, op.src, op.dst, f, str(acc_dt), str(out_spec.dtype), flags, consts,
+                backend,
             )
             out_positions = 1
         else:
             int_op = IntConvOp(
                 index, op.src, op.dst, op.kernel, op.stride, op.padding, f,
-                "intq_gemm", str(acc_dt), str(out_spec.dtype), flags, group_shifts, consts,
+                str(acc_dt), str(out_spec.dtype), flags, consts, backend,
             )
             out_positions = int(out_shape[2] * out_shape[3])
-        # Impl timing must stay numpy-pure — native compiles would pollute it;
-        # the backend chooser below makes the final numpy/native call.
-        int_op.backend = "numpy"
-        autotune = self._choose_impl(int_op, spec_in, in_shape)
-        autotune_backend = self._choose_backend(int_op, spec_in, in_shape)
         self.ops.append(int_op)
         self.spec[op.dst] = out_spec
 
@@ -874,14 +859,14 @@ class _IntQBuilder:
         record = {
             "op_index": op.index,
             "type": "linear" if linear else "conv",
-            "impl": int_op.impl,
+            "impl": "intq_gemm",
             "accum_dtype": str(acc_dt),
             "planes": packed.k_max,
             "nonzero_terms": nnz,
             "out_positions": out_positions,
-            "shift_ops": (nnz * out_positions) if packed.groups else 0,
+            "shift_ops": (nnz * out_positions) if packed.exponent_codes is not None else 0,
             "add_ops": (nnz + f) * out_positions,
-            "int_mult_ops": (nnz * out_positions) if int_op.impl == "intq_gemm" else 0,
+            "int_mult_ops": nnz * out_positions,
             "requant_mult_ops": f * out_positions,
             "requant_bits": rq_bits,
             "scale_in": spec_in.step,
@@ -889,103 +874,7 @@ class _IntQBuilder:
             "zero_point": 0,
             "backend": int_op.backend,
         }
-        if autotune is not None:
-            record["autotune"] = autotune
-        if autotune_backend is not None:
-            record["autotune_backend"] = autotune_backend
         self.layers.append(record)
-
-    def _choose_impl(self, int_op, spec_in: GridSpec, in_shape: tuple) -> dict | None:
-        """Apply the config's kernel policy; time both variants under "auto"."""
-        cfg = self.config
-        if not int_op.group_shifts:
-            return None
-        if cfg.kernel == "shift_plane":
-            int_op.impl = "intq_shift"
-            return None
-        if cfg.kernel == "dense":
-            return None
-        key = (
-            "intq", type(int_op).__name__, tuple(in_shape),
-            tuple(int_op.consts["W"].shape), int_op.group_shifts,
-            int_op.acc_dtype, cfg.autotune_reps,
-        )
-        entry = AUTOTUNE_CACHE.get(key)
-        if entry is None:
-            ctx = ExecutionContext()
-            ctx.slots[int_op.src] = np.zeros(in_shape, dtype=spec_in.dtype)
-            timings = {}
-            for impl in ("intq_gemm", "intq_shift"):
-                int_op.impl = impl
-                best = float("inf")
-                for _ in range(max(1, cfg.autotune_reps)):
-                    start = time.perf_counter()
-                    int_op.run(ctx)
-                    best = min(best, time.perf_counter() - start)
-                timings[impl] = best
-            chosen = "intq_shift" if timings["intq_shift"] <= timings["intq_gemm"] else "intq_gemm"
-            entry = {
-                "chosen": chosen,
-                "intq_gemm_s": timings["intq_gemm"],
-                "intq_shift_s": timings["intq_shift"],
-                "cached": False,
-            }
-            AUTOTUNE_CACHE.put(key, {**entry, "cached": True})
-        int_op.impl = entry["chosen"]
-        return entry
-
-    def _choose_backend(self, int_op, spec_in: GridSpec, in_shape: tuple) -> dict | None:
-        """Resolve the op's numpy/native backend; time both under "auto".
-
-        Runs after :meth:`_choose_impl` so the tournament measures the impl
-        the op will actually execute.  Forced "native" still degrades at run
-        time through the first-call parity ladder.
-        """
-        cfg = self.config
-        choice = getattr(cfg, "backend", "auto")
-        if choice == "numpy":
-            int_op.backend = "numpy"
-            return None
-        try:
-            from repro.infer.native import binding as native_binding
-
-            native_ok = native_binding.available()
-        except Exception:
-            native_ok = False
-        if not native_ok:
-            int_op.backend = "numpy"
-            return None
-        if choice == "native":
-            int_op.backend = "native"
-            return None
-        key = (
-            "intq-native", type(int_op).__name__, tuple(in_shape),
-            tuple(int_op.consts["W"].shape), int_op.impl, int_op.group_shifts,
-            int_op.acc_dtype, cfg.autotune_reps,
-        )
-        entry = AUTOTUNE_CACHE.get(key)
-        if entry is None:
-            timings = {}
-            for backend in ("numpy", "native"):
-                int_op.backend = backend
-                ctx = ExecutionContext()
-                ctx.slots[int_op.src] = np.zeros(in_shape, dtype=spec_in.dtype)
-                int_op.run(ctx)  # warm-up pays the compile + parity check
-                best = float("inf")
-                for _ in range(max(1, cfg.autotune_reps)):
-                    start = time.perf_counter()
-                    int_op.run(ctx)
-                    best = min(best, time.perf_counter() - start)
-                timings[backend] = best
-            entry = {
-                "backend": "native" if timings["native"] < timings["numpy"] else "numpy",
-                "native_s": timings["native"],
-                "numpy_s": timings["numpy"],
-                "cached": False,
-            }
-            AUTOTUNE_CACHE.put(key, {**entry, "cached": True})
-        int_op.backend = entry["backend"]
-        return entry
 
 
 def build_intq_program(

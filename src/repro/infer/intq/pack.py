@@ -10,15 +10,12 @@ hold:
   zero term, otherwise ``shift = code - 1`` relative to ``2**exp_min``);
 * ``sign_bits`` — the sign planes packed 8-to-a-byte (``np.packbits``);
 * ``w_int`` — the integer weight matrix those codes decode to
-  (``weight == w_int * 2**exp_min``), used by the single-GEMM kernel;
-* ``groups`` — per-shift-amount {-1, 0, +1} accumulation matrices for the
-  shift-accumulate kernel (one integer matmul per distinct exponent).
+  (``weight == w_int * 2**exp_min``), the operand of the integer GEMM.
 
-``w_int`` and ``groups`` are decoded *from the packed bitmask and codes*,
-not from the float weights, so a packing bug cannot cancel out.  Weight
-strategies that are exactly dyadic but not plane-decomposable (fixed-point,
-binary) fall back to a direct integer lift ``w_int = w * 2**f`` and run the
-GEMM kernel only.
+``w_int`` is decoded *from the packed bitmask and codes*, not from the
+float weights, so a packing bug cannot cancel out.  Weight strategies that
+are exactly dyadic but not plane-decomposable (fixed-point, binary) fall
+back to a direct integer lift ``w_int = w * 2**f``.
 """
 
 from __future__ import annotations
@@ -28,10 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CompileError
-from repro.infer.shift_plane import _layer_bank, supports_shift_planes
+from repro.quant.decompose import decompose_filter_bank, decompose_lightnn_bank
 from repro.quant.encoding import encode_terms
+from repro.quant.qlayers import FLightNNWeights, LightNNWeights
 
-__all__ = ["PackedWeights", "pack_weights"]
+__all__ = ["PackedWeights", "pack_weights", "supports_shift_planes"]
 
 # Maximum dyadic-lift exponent tried for non-plane strategies (covers every
 # fixed-point format the repo ships; arbitrary floats fail fast).
@@ -50,9 +48,6 @@ class PackedWeights:
         w_int: int64 ``(F, cols)`` integer weights; the real weight is
             ``w_int * weight_scale``.
         weight_scale: The power of two one integer unit represents.
-        groups: ``[(shift, S)]`` pairs for the shift-accumulate kernel:
-            ``sum_d (S_d @ (x << d)) == w_int @ x`` with ``S_d`` entries in
-            {-1, 0, +1}; ``None`` when only the GEMM kernel applies.
         k_max: Number of decomposition planes (0 for dyadic lifts).
         nonzero_terms: Count of active (non-gated) shift terms — the
             hardware shift/add work per output position.
@@ -62,9 +57,24 @@ class PackedWeights:
     sign_bits: np.ndarray | None
     w_int: np.ndarray
     weight_scale: float
-    groups: list[tuple[int, np.ndarray]] | None
     k_max: int
     nonzero_terms: int
+
+
+def supports_shift_planes(layer) -> bool:
+    """Whether ``layer``'s strategy decomposes into power-of-two planes."""
+    return isinstance(getattr(layer, "strategy", None), (FLightNNWeights, LightNNWeights))
+
+
+def _layer_bank(layer):
+    """The layer's Fig. 3 term bank and its power-of-two format."""
+    strategy = layer.strategy
+    quantizer = strategy.quantizer
+    if isinstance(strategy, FLightNNWeights):
+        bank = decompose_filter_bank(layer.weight.data, layer.thresholds.data, quantizer)
+    else:
+        bank = decompose_lightnn_bank(layer.weight.data, quantizer.config.k, quantizer.config.pow2)
+    return bank, quantizer.config.pow2
 
 
 def _slice_planes(
@@ -129,16 +139,11 @@ def pack_weights(
         magnitude = np.where(codes64 > 0, np.int64(1) << np.maximum(codes64 - 1, 0), 0)
         unit = np.where(codes64 > 0, np.where(unpacked, np.int64(-1), np.int64(1)), 0)
         w_int = (unit * magnitude).sum(axis=0)
-        groups: list[tuple[int, np.ndarray]] = []
-        for d in np.unique(codes64[codes64 > 0]) - 1:
-            s_d = np.where(codes64 - 1 == d, unit, 0).sum(axis=0)
-            groups.append((int(d), np.ascontiguousarray(s_d)))
         return PackedWeights(
             exponent_codes=codes,
             sign_bits=sign_bits,
             w_int=np.ascontiguousarray(w_int),
             weight_scale=float(2.0**pow2.exp_min),
-            groups=groups,
             k_max=k_max,
             nonzero_terms=int((codes > 0).sum()),
         )
@@ -158,7 +163,6 @@ def pack_weights(
         sign_bits=None,
         w_int=w_int,
         weight_scale=weight_scale,
-        groups=None,
         k_max=0,
         nonzero_terms=int((w_int != 0).sum()),
     )

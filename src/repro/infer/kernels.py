@@ -2,7 +2,7 @@
 
 The traced execution path (:mod:`repro.infer.trace` / :mod:`repro.infer.fuse`)
 does not interpret plan ops one dict lookup at a time — it *generates* one
-Python function per (op kind, layer shape, kernel impl, dtype, epilogue)
+Python function per (op kind, layer shape, dtype, epilogue)
 combination, with every branch the interpreter would test per batch (padding?
 1x1 fast path? bias? dead-channel map? which epilogue ops?) resolved at
 codegen time and every scalar constant inlined literally.  All array views a
@@ -17,17 +17,11 @@ out=...)`` calls and scalars inlined via ``repr`` (which round-trips float64
 exactly).  Fusing a conv with its LeakyReLU/ActQuant epilogue therefore
 changes *where* the intermediate lives (it doesn't), never its value.
 
-Two process-wide caches live here:
-
-* :data:`KERNEL_CACHE` — compiled kernel factories keyed per
-  (layer-shape, kernel impl, dtype, flags, epilogue).  Identical generated
-  source is compiled once (an inner source-text cache), so the per-spec
-  entries are cheap; hit/miss counters surface through
-  ``ExecutionPlan.summary()`` and serve ``/metrics``.
-* :data:`AUTOTUNE_CACHE` — persisted autotune decisions keyed by the same
-  shape/kernel/dtype signature, so a plan rebuild whose layer shapes and
-  kernel candidates are unchanged (the common hot-weight-refresh case)
-  reuses the previous measurement instead of re-timing every layer.
+:data:`KERNEL_CACHE` holds the compiled kernel factories, keyed per
+(layer-shape, dtype, flags, epilogue).  Identical generated source is
+compiled once (an inner source-text cache), so the per-spec entries are
+cheap; hit/miss counters surface through ``ExecutionPlan.summary()`` and
+serve ``/metrics``.
 
 Invalidation rides the plan's existing fingerprint machinery: weight
 refreshes and structural rebuilds drop the *traced programs* (which hold
@@ -38,13 +32,8 @@ a "recompile" of the traced program mostly amounts to.
 
 from __future__ import annotations
 
-import ast
-import hashlib
-import json
 import logging
 import os
-import platform
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -56,7 +45,6 @@ __all__ = [
     "KernelSpec",
     "ScratchReq",
     "KERNEL_CACHE",
-    "AUTOTUNE_CACHE",
     "cache_stats",
     "cache_info",
     "clear_caches",
@@ -68,9 +56,6 @@ __all__ = [
     "bind_pool",
     "bind_gap",
     "bind_add",
-    "bind_standalone_producer",
-    "autotune_key",
-    "variants_for",
 ]
 
 
@@ -83,12 +68,12 @@ class KernelSpec:
     plus the layer shape the program was specialized for."""
 
     kind: str  # conv | linear | eltwise | maxpool | avgpool | gap | add
-    impl: str  # dense | shift_plane | ""
+    impl: str  # "" | "intq" | a native variant tag
     shape: tuple  # layer/input shape signature
     dtype: str
     flags: tuple  # structural source flags, e.g. ("bias", "pad")
     epilogue: tuple  # (("lrelu", "0.1"), ("aq", inv, lo, hi, step), ...)
-    extra: tuple = ()  # per-plane flags / pool unroll, part of the source
+    extra: tuple = ()  # pool unroll, part of the source
 
 
 class _KernelCache:
@@ -171,131 +156,22 @@ class _KernelCache:
             self.hits = self.misses = self.evictions = 0
 
 
-class _AutotuneCache:
-    """Shape-keyed autotune decisions reused across fingerprint-identical
-    plan rebuilds (bounded FIFO; thread-safe).
-
-    Entries persist to ``<cache_root>/autotune_<hosthash>.json`` (lazily
-    loaded, write-through on every ``put``), so a process restart reuses
-    previous measurements instead of re-timing every layer.  The host hash
-    covers the machine identity, numpy version and the C toolchain
-    fingerprint — a different compiler or host gets its own decision file,
-    since the timings it would read are not comparable.  Keys round-trip
-    through ``repr``/``ast.literal_eval`` (they are tuples of
-    strings/ints/tuples by construction).  Any disk error degrades to the
-    in-memory-only behavior.
-    """
-
-    def __init__(self, max_entries: int = 512) -> None:
-        self._entries: dict[tuple, dict] = {}
-        self._lock = threading.Lock()
-        self._max = max_entries
-        self._loaded_paths: set[str] = set()
-        self.hits = 0
-        self.misses = 0
-
-    def disk_path(self) -> str:
-        from repro.infer.native import toolchain
-
-        host = hashlib.sha256(
-            "\x00".join(
-                [platform.node(), platform.machine(), np.__version__,
-                 toolchain.toolchain_fingerprint()]
-            ).encode()
-        ).hexdigest()[:12]
-        return os.path.join(toolchain.cache_root(), f"autotune_{host}.json")
-
-    def _ensure_loaded_locked(self) -> None:
-        try:
-            path = self.disk_path()
-        except Exception:  # pragma: no cover - defensive
-            return
-        if path in self._loaded_paths:
-            return
-        self._loaded_paths.add(path)
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-            for key_repr, entry in raw.items():
-                self._entries.setdefault(ast.literal_eval(key_repr), dict(entry))
-        except FileNotFoundError:
-            pass
-        except (OSError, ValueError, SyntaxError, AttributeError, TypeError):
-            # Corrupt or foreign-format file (a non-dict entry raises
-            # TypeError): drop it, start fresh.
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-    def _flush_locked(self) -> None:
-        try:
-            path = self.disk_path()
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            payload = {repr(k): v for k, v in self._entries.items()}
-            fd, tmp = tempfile.mkstemp(prefix="autotune-", dir=os.path.dirname(path))
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
-        except (OSError, TypeError, ValueError):
-            pass  # unwritable cache dir: stay in-memory only
-
-    def get(self, key: tuple) -> dict | None:
-        with self._lock:
-            self._ensure_loaded_locked()
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return dict(entry)
-
-    def put(self, key: tuple, entry: dict) -> None:
-        with self._lock:
-            self._ensure_loaded_locked()
-            if len(self._entries) >= self._max:
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[key] = dict(entry)
-            self._flush_locked()
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses, "entries": len(self._entries)}
-
-    def clear(self) -> None:
-        """Drop the in-memory entries *and* this host's decision file (so
-        ``clear_caches()`` means cold-start even across processes)."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = self.misses = 0
-            try:
-                path = self.disk_path()
-                self._loaded_paths.add(path)
-                os.unlink(path)
-            except Exception:
-                pass
-
-
 KERNEL_CACHE = _KernelCache()
-AUTOTUNE_CACHE = _AutotuneCache()
 
 
 def cache_stats() -> dict:
-    """Process-wide codegen/autotune cache counters (for summary/metrics)."""
-    return {"kernels": KERNEL_CACHE.stats(), "autotune": AUTOTUNE_CACHE.stats()}
+    """Process-wide codegen cache counters (for summary/metrics)."""
+    return {"kernels": KERNEL_CACHE.stats()}
 
 
 def cache_info() -> dict:
     """Everything cached on this host: in-process counters plus the on-disk
-    native compile cache and autotune decision file (sizes and locations).
-    The public entry point is ``repro.infer.cache_info()``."""
-    info = {"kernels": KERNEL_CACHE.stats(), "autotune": AUTOTUNE_CACHE.stats()}
+    native compile cache (size and location).  The public entry point is
+    ``repro.infer.cache_info()``."""
+    info = cache_stats()
     try:
         from repro.infer.native import binding, toolchain
 
-        path = AUTOTUNE_CACHE.disk_path()
-        info["autotune"]["disk_path"] = path
-        info["autotune"]["disk_exists"] = os.path.exists(path)
         cdir = toolchain.native_cache_dir()
         entries = [f for f in os.listdir(cdir) if f.endswith(".so")]
         info["native"] = {
@@ -312,14 +188,12 @@ def cache_info() -> dict:
 
 
 def clear_caches(disk: bool = False) -> None:
-    """Drop both caches (tests / benchmarks wanting cold-start numbers).
+    """Drop the kernel cache (tests / benchmarks wanting cold-start numbers).
 
-    ``AUTOTUNE_CACHE.clear()`` always removes this host's on-disk decision
-    file; ``disk=True`` additionally empties the native compile cache
-    directory (the ``--clear-cache`` CLI path).
+    ``disk=True`` also empties the native compile cache directory (the
+    ``--clear-cache`` CLI path).
     """
     KERNEL_CACHE.clear()
-    AUTOTUNE_CACHE.clear()
     if disk:
         try:
             from repro.infer.native import toolchain
@@ -440,7 +314,7 @@ def epilogue_scratch(epilogue, out_tail: tuple) -> list[ScratchReq]:
     return reqs
 
 
-def producer_scratch(kind: str, op, x_shape: tuple, impl: str, epilogue) -> list[ScratchReq]:
+def producer_scratch(kind: str, op, x_shape: tuple, epilogue) -> list[ScratchReq]:
     """Scratch requests (bind order) of a conv/linear kernel on ``x_shape``."""
     reqs: list[ScratchReq] = []
     if kind == "conv":
@@ -455,26 +329,13 @@ def producer_scratch(kind: str, op, x_shape: tuple, impl: str, epilogue) -> list
             if p:
                 reqs.append(ScratchReq("pad", (c, h + 2 * p, w + 2 * p), dedicated=True, zero=True))
             reqs.append(ScratchReq("cols", (c * k * k, length)))
-        if impl == "shift_plane" and op.shift is not None:
-            for j, plane in enumerate(op.shift.planes):
-                if plane.col_index is not None:
-                    reqs.append(ScratchReq(f"sel{j}", (plane.col_index.size, length)))
-                rows = f if plane.rows is None else plane.rows.size
-                reqs.append(ScratchReq(f"part{j}", (rows, length)))
         reqs.extend(epilogue_scratch(epilogue, (f, length)))
     else:  # linear
-        out_f = op.weight_t.shape[1]
-        if impl == "shift_plane" and op.shift is not None:
-            for j, plane in enumerate(op.shift.planes):
-                if plane.col_index is not None:
-                    reqs.append(ScratchReq(f"sel{j}", (plane.col_index.size,)))
-                rows = out_f if plane.rows is None else plane.rows.size
-                reqs.append(ScratchReq(f"part{j}", (rows,)))
-        reqs.extend(epilogue_scratch(epilogue, (out_f,)))
+        reqs.extend(epilogue_scratch(epilogue, (op.weight_t.shape[1],)))
     return reqs
 
 
-# -- producer kernels (conv / linear, dense + shift_plane) --------------------
+# -- producer kernels (conv / linear) -----------------------------------------
 
 
 def _conv_views(op, x, scratch: dict):
@@ -517,7 +378,6 @@ def bind_producer(
     x: np.ndarray,
     out: np.ndarray,
     scratch: dict,
-    impl: str,
     epilogue,
     dtype: np.dtype,
     backend: str = "numpy",
@@ -535,7 +395,6 @@ def bind_producer(
     etmps = [n for n in scratch if n.startswith("etmp")]
     lines: list[str] = []
     flags: list[str] = []
-    extra: list = []
     if kind == "conv":
         setup, args, cols_name = _conv_views(op, x, scratch)
         lines.extend(setup)
@@ -544,31 +403,8 @@ def bind_producer(
             flags.append("pad")
         if op.kernel == 1 and op.stride == 1 and op.padding == 0:
             flags.append("onebyone")
-        if impl == "shift_plane" and op.shift is not None:
-            lines.append("out[...] = 0.0")
-            for j, plane in enumerate(op.shift.planes):
-                wname = f"w{j}"
-                args[wname] = plane.weight
-                src = cols_name
-                pflags = ""
-                if plane.col_index is not None:
-                    args[f"idx{j}"] = plane.col_index
-                    args[f"sel{j}"] = scratch[f"sel{j}"]
-                    lines.append(f"np.take({cols_name}, idx{j}, axis=1, out=sel{j})")
-                    src = f"sel{j}"
-                    pflags += "c"
-                args[f"part{j}"] = scratch[f"part{j}"]
-                lines.append(f"np.matmul({wname}, {src}, out=part{j})")
-                if plane.rows is None:
-                    lines.append(f"np.add(out, part{j}, out=out)")
-                else:
-                    args[f"rows{j}"] = plane.rows
-                    lines.append(f"out[:, rows{j}, :] += part{j}")
-                    pflags += "r"
-                extra.append((j, pflags))
-        else:
-            args["w"] = op.weight2d
-            lines.append(f"np.matmul(w, {cols_name}, out=out)")
+        args["w"] = op.weight2d
+        lines.append(f"np.matmul(w, {cols_name}, out=out)")
         if op.bias is not None:
             args["bias"] = op.bias[:, None]
             lines.append("np.add(out, bias, out=out)")
@@ -579,31 +415,8 @@ def bind_producer(
             flags.append("dead")
         shape_key = (x.shape[1:], op.weight2d.shape, op.kernel, op.stride, op.padding)
     else:  # linear
-        args = {"x": x, "out": out}
-        if impl == "shift_plane" and op.shift is not None:
-            lines.append("out[...] = 0.0")
-            for j, plane in enumerate(op.shift.planes):
-                args[f"w{j}"] = plane.weight
-                src = "x"
-                pflags = ""
-                if plane.col_index is not None:
-                    args[f"idx{j}"] = plane.col_index
-                    args[f"sel{j}"] = scratch[f"sel{j}"]
-                    lines.append(f"np.take(x, idx{j}, axis=1, out=sel{j})")
-                    src = f"sel{j}"
-                    pflags += "c"
-                args[f"part{j}"] = scratch[f"part{j}"]
-                lines.append(f"np.matmul({src}, w{j}, out=part{j})")
-                if plane.rows is None:
-                    lines.append(f"np.add(out, part{j}, out=out)")
-                else:
-                    args[f"rows{j}"] = plane.rows
-                    lines.append(f"out[:, rows{j}] += part{j}")
-                    pflags += "r"
-                extra.append((j, pflags))
-        else:
-            args["w"] = op.weight_t
-            lines.append("np.matmul(x, w, out=out)")
+        args = {"x": x, "out": out, "w": op.weight_t}
+        lines.append("np.matmul(x, w, out=out)")
         if op.bias is not None:
             args["bias"] = op.bias
             lines.append("np.add(out, bias, out=out)")
@@ -614,17 +427,16 @@ def bind_producer(
     _emit_epilogue(lines, sig, "out", list(etmps))
     spec = KernelSpec(
         kind=kind,
-        impl=impl,
+        impl="",
         shape=shape_key,
         dtype=str(dtype),
         flags=tuple(flags),
         epilogue=sig,
-        extra=tuple(extra),
     )
     thunk = _make(spec, args, lines)
     if backend == "native":
         native = _native_make(
-            "make_producer", kind, op, x, out, scratch, impl, sig, spec, thunk, record
+            "make_producer", kind, op, x, out, scratch, sig, spec, thunk, record
         )
         if native is not None:
             return native
@@ -841,66 +653,3 @@ def bind_add(
     if record is not None:
         record.setdefault("backend", "numpy")
     return thunk
-
-
-# -- autotune support ---------------------------------------------------------
-
-
-def variants_for(op) -> tuple[str, ...]:
-    """Kernel impl candidates the generated-kernel library offers for ``op``."""
-    if getattr(op, "shift", None) is not None:
-        return ("dense", "shift_plane")
-    return ("dense",)
-
-
-def _shift_signature(op) -> tuple:
-    shift = getattr(op, "shift", None)
-    if shift is None:
-        return ()
-    return tuple(
-        (p.weight.shape, None if p.col_index is None else int(p.col_index.size), p.rows is None)
-        for p in shift.planes
-    )
-
-
-def autotune_key(op, x_shape: tuple, dtype: np.dtype, reps: int) -> tuple:
-    """Persistent-cache key: identical shapes + kernel set => identical
-    timing problem, regardless of the weight *values* behind it."""
-    kind = "linear" if hasattr(op, "weight_t") else "conv"
-    wshape = op.weight_t.shape if kind == "linear" else op.weight2d.shape
-    geom = () if kind == "linear" else (op.kernel, op.stride, op.padding)
-    return (kind, tuple(x_shape), tuple(wshape), geom, _shift_signature(op), str(dtype), int(reps))
-
-
-def bind_standalone_producer(
-    op,
-    x: np.ndarray,
-    impl: str,
-    dtype: np.dtype,
-    backend: str = "numpy",
-    record: dict | None = None,
-):
-    """A self-buffered generated kernel for one conv/linear op (autotune path).
-
-    Allocates private out/scratch arrays and returns ``(thunk, out)`` — the
-    same codegen the traced executor binds, so autotune measures exactly the
-    kernels the fused program will run (including the native variants when
-    ``backend="native"``).
-    """
-    kind = "linear" if hasattr(op, "weight_t") else "conv"
-    nb = x.shape[0]
-    reqs = producer_scratch(kind, op, x.shape, impl, ())
-    scratch = {
-        r.name: np.zeros((nb,) + r.tail, dtype) if r.zero else np.empty((nb,) + r.tail, dtype)
-        for r in reqs
-    }
-    if kind == "conv":
-        h, w = x.shape[2], x.shape[3]
-        k, s, p = op.kernel, op.stride, op.padding
-        oh = (h + 2 * p - k) // s + 1
-        ow = (w + 2 * p - k) // s + 1
-        out = np.empty((nb, op.weight2d.shape[0], oh * ow), dtype)
-    else:
-        out = np.empty((nb, op.weight_t.shape[1]), dtype)
-    thunk = bind_producer(kind, op, x, out, scratch, impl, (), dtype, backend, record)
-    return thunk, out

@@ -249,7 +249,7 @@ def _blas_slots() -> list[int] | None:
 # -- float64 producers --------------------------------------------------------
 
 
-def make_producer(kind, op, x, out, scratch, impl, sig, spec, numpy_thunk, record):
+def make_producer(kind, op, x, out, scratch, sig, spec, numpy_thunk, record):
     """Native conv/linear kernel bound over the fused node's arrays, or
     ``None``.  ``sig`` is the pre-``repr``'d epilogue signature and
     ``spec`` the numpy kernel's cache spec (reused, impl-prefixed, as the
@@ -267,7 +267,6 @@ def make_producer(kind, op, x, out, scratch, impl, sig, spec, numpy_thunk, recor
     ilp64 = blas.blas_info()["ilp64"]
     if not _contig_f64(x, out):
         return _decline((kind, "layout"), "non-contiguous input/output view")
-    shift = impl == "shift_plane" and getattr(op, "shift", None) is not None
     scalars = codegen.epilogue_scalars(sig)
     try:
         if kind == "conv":
@@ -288,30 +287,13 @@ def make_producer(kind, op, x, out, scratch, impl, sig, spec, numpy_thunk, recor
                 dead = _const(op._dead_bias_map(h, w))
                 if dead.shape != (f, length):
                     return _decline((kind, "dead"), "unexpected dead-map shape")
-            arrays = [*bslots, x, pad, cols, bias, dead, out]
+            arrays = [*bslots, x, pad, cols, bias, dead, out, _const(op.weight2d)]
             dims = [nb, c, h, w, k, s, p, f, ckk, length, oh, ow,
                     int(pad is not None), int(onebyone),
                     int(bias is not None), int(dead is not None)]
-            if shift:
-                dims.append(len(op.shift.planes))
-                for j, plane in enumerate(op.shift.planes):
-                    wj = _const(plane.weight)
-                    idx = None if plane.col_index is None else _const(plane.col_index, np.int64)
-                    rows = None if plane.rows is None else _const(plane.rows, np.int64)
-                    sel = scratch.get(f"sel{j}")
-                    part = scratch[f"part{j}"]
-                    if not _contig_f64(sel, part):
-                        return _decline((kind, "layout"), "non-contiguous plane scratch")
-                    arrays += [wj, idx, sel, part, rows]
-                    dims += [wj.shape[0], wj.shape[1],
-                             int(idx is not None), int(rows is not None)]
-            else:
-                dims.append(0)
-                arrays.append(_const(op.weight2d))
             consts = {"C": c, "H": h, "W": w, "K": k, "S": s, "P": p,
                       "F": f, "CKK": ckk, "L": length, "OH": oh, "OW": ow}
             source = codegen.conv_source(
-                impl if shift else "dense",
                 epi,
                 ilp64,
                 haspad=pad is not None,
@@ -324,31 +306,10 @@ def make_producer(kind, op, x, out, scratch, impl, sig, spec, numpy_thunk, recor
             nb, in_f = x.shape
             f = op.weight_t.shape[1]
             bias = None if op.bias is None else _const(op.bias)
-            arrays = [*bslots, x, bias, out]
+            arrays = [*bslots, x, bias, out, _const(op.weight_t)]
             dims = [nb, in_f, f, int(bias is not None)]
-            if shift:
-                dims.append(len(op.shift.planes))
-                for j, plane in enumerate(op.shift.planes):
-                    wj = _const(plane.weight)
-                    idx = None if plane.col_index is None else _const(plane.col_index, np.int64)
-                    rows = None if plane.rows is None else _const(plane.rows, np.int64)
-                    sel = scratch.get(f"sel{j}")
-                    part = scratch[f"part{j}"]
-                    if not _contig_f64(sel, part):
-                        return _decline((kind, "layout"), "non-contiguous plane scratch")
-                    arrays += [wj, idx, sel, part, rows]
-                    dims += [wj.shape[1], wj.shape[0],
-                             int(idx is not None), int(rows is not None)]
-            else:
-                dims.append(0)
-                arrays.append(_const(op.weight_t))
-            consts = {"IN": in_f, "F": f}
             source = codegen.linear_source(
-                impl if shift else "dense",
-                epi,
-                ilp64,
-                hb=bias is not None,
-                consts=consts,
+                epi, ilp64, hb=bias is not None, consts={"IN": in_f, "F": f}
             )
         fn = _native_fn(spec, source)
     except toolchain.NativeUnavailable as err:
@@ -357,7 +318,7 @@ def make_producer(kind, op, x, out, scratch, impl, sig, spec, numpy_thunk, recor
     if record is not None:
         record["backend"] = "native"
     call = _pack_call(fn, arrays, dims, scalars)
-    return _checked(call, numpy_thunk, out, [x], record, f"{kind}/{impl}")
+    return _checked(call, numpy_thunk, out, [x], record, kind)
 
 
 # -- float64 pools / add / eltwise --------------------------------------------

@@ -183,12 +183,9 @@ def _dims_decl(slots: list, consts: dict) -> list[str]:
 
 # -- float64 producer kernels (conv / linear) ---------------------------------
 
-# conv ptr slots: 0 gemm 1 gemv 2 dot 3 x 4 pad 5 cols 6 bias 7 dead 8 out,
-#   shift planes append 5 slots each at 9+5j: w idx sel part rows
-#   (dense uses slot 9 for the single weight matrix).
+# conv ptr slots: 0 gemm 1 gemv 2 dot 3 x 4 pad 5 cols 6 bias 7 dead 8 out 9 w
 # conv dims: 0 nb 1 C 2 H 3 W 4 K 5 S 6 P 7 F 8 CKK 9 L 10 OH 11 OW
-#   12 haspad 13 onebyone 14 hb 15 hd 16 nplanes, planes append 4 at 17+4j:
-#   rows_j kk_j has_sel_j has_rows_j
+#   12 haspad 13 onebyone 14 hb 15 hd
 
 # Row copies are plain loops, not memcpy: rows here are a few dozen doubles
 # and the ~C*K*K*OH call overhead of tiny memcpys dominates the actual copy
@@ -246,7 +243,6 @@ def _conv_im2col(haspad: bool, onebyone: bool) -> list[str]:
 
 
 def conv_source(
-    impl: str,
     epi: tuple,
     ilp64: bool,
     haspad: bool = True,
@@ -255,8 +251,8 @@ def conv_source(
     hd: bool = True,
     consts: dict | None = None,
 ) -> str:
-    """conv producer: im2col + per-sample GEMM (dense) or shift-plane
-    accumulate, then the bias/dead adds and the fused epilogue.
+    """conv producer: im2col + per-sample GEMM, then the bias/dead adds
+    and the fused epilogue.
 
     ``haspad``/``onebyone``/``hb``/``hd`` are structural facts already in
     the kernel spec (padding geometry, the ``bias``/``dead`` flags), so
@@ -290,43 +286,10 @@ def conv_source(
         "    double *on = out + n * F * L;",
     ]
     body += ["    " + ln for ln in _conv_im2col(haspad, onebyone)]
-    if impl == "shift_plane":
-        body += [
-            "    memset(on, 0, (size_t)(F * L) * sizeof(double));",
-            "    i64 nplanes = dims[16];",
-            "    for (i64 j = 0; j < nplanes; j++) {",
-            "        i64 rows_m = dims[17 + 4 * j], kk = dims[18 + 4 * j];",
-            "        i64 has_sel = dims[19 + 4 * j], has_rows = dims[20 + 4 * j];",
-            "        const double *wj = (const double *)ptrs[9 + 5 * j];",
-            "        const i64 *idx = (const i64 *)ptrs[10 + 5 * j];",
-            "        double *sel = (double *)ptrs[11 + 5 * j];",
-            "        double *part = (double *)ptrs[12 + 5 * j];",
-            "        const i64 *rows = (const i64 *)ptrs[13 + 5 * j];",
-            "        const double *psrc = src;",
-            "        if (has_sel) {",
-            "            double *sn = sel + n * kk * L;",
-            "            for (i64 ki = 0; ki < kk; ki++)",
-            "                memcpy(sn + ki * L, src + idx[ki] * L, (size_t)L * sizeof(double));",
-            "            psrc = sn;",
-            "        }",
-            "        double *pn = part + n * rows_m * L;",
-            "        mm(gemm, gemv, dot, rows_m, kk, L, wj, psrc, pn);",
-            "        if (has_rows) {",
-            "            for (i64 r = 0; r < rows_m; r++) {",
-            "                double *orow = on + rows[r] * L;",
-            "                const double *prow = pn + r * L;",
-            "                for (i64 l = 0; l < L; l++) orow[l] += prow[l];",
-            "            }",
-            "        } else {",
-            "            for (i64 e = 0; e < F * L; e++) on[e] += pn[e];",
-            "        }",
-            "    }",
-        ]
-    else:
-        body += [
-            "    const double *w = (const double *)ptrs[9];",
-            "    mm(gemm, gemv, dot, F, CKK, L, w, src, on);",
-        ]
+    body += [
+        "    const double *w = (const double *)ptrs[9];",
+        "    mm(gemm, gemv, dot, F, CKK, L, w, src, on);",
+    ]
     if hb or hd or epi:
         body += [
             "    for (i64 f = 0; f < F; f++) {",
@@ -347,15 +310,11 @@ def conv_source(
     return _prelude(blas=True, ilp64=ilp64) + _fn(body)
 
 
-# linear ptr slots: 0 gemm 1 gemv 2 dot 3 x 4 bias 5 out, planes at 6+5j:
-#   w idx sel part rows (dense uses slot 6 for the weight matrix).
-# linear dims: 0 nb 1 IN 2 F 3 hb 4 nplanes, planes at 5+4j:
-#   rows_j kk_j has_sel_j has_rows_j
+# linear ptr slots: 0 gemm 1 gemv 2 dot 3 x 4 bias 5 out 6 w
+# linear dims: 0 nb 1 IN 2 F 3 hb
 
 
-def linear_source(
-    impl: str, epi: tuple, ilp64: bool, hb: bool = True, consts: dict | None = None
-) -> str:
+def linear_source(epi: tuple, ilp64: bool, hb: bool = True, consts: dict | None = None) -> str:
     """linear producer: one whole-batch GEMM (numpy's layout: ``x @ w``).
 
     ``hb`` (bias presence, a spec flag) is baked in like the conv flags.
@@ -370,41 +329,9 @@ def linear_source(
     body += [
         "(void)bias; (void)dims[3];",
         "double v, t; (void)t;",
+        "const double *w = (const double *)ptrs[6];",
+        "mm(gemm, gemv, dot, nb, IN, F, x, w, out);",
     ]
-    if impl == "shift_plane":
-        body += [
-            "memset(out, 0, (size_t)(nb * F) * sizeof(double));",
-            "i64 nplanes = dims[4];",
-            "for (i64 j = 0; j < nplanes; j++) {",
-            "    i64 rows_m = dims[5 + 4 * j], kk = dims[6 + 4 * j];",
-            "    i64 has_sel = dims[7 + 4 * j], has_rows = dims[8 + 4 * j];",
-            "    const double *wj = (const double *)ptrs[6 + 5 * j];",
-            "    const i64 *idx = (const i64 *)ptrs[7 + 5 * j];",
-            "    double *sel = (double *)ptrs[8 + 5 * j];",
-            "    double *part = (double *)ptrs[9 + 5 * j];",
-            "    const i64 *rows = (const i64 *)ptrs[10 + 5 * j];",
-            "    const double *psrc = x;",
-            "    if (has_sel) {",
-            "        for (i64 n = 0; n < nb; n++)",
-            "            for (i64 ki = 0; ki < kk; ki++)",
-            "                sel[n * kk + ki] = x[n * IN + idx[ki]];",
-            "        psrc = sel;",
-            "    }",
-            "    mm(gemm, gemv, dot, nb, kk, rows_m, psrc, wj, part);",
-            "    if (has_rows) {",
-            "        for (i64 n = 0; n < nb; n++)",
-            "            for (i64 r = 0; r < rows_m; r++)",
-            "                out[n * F + rows[r]] += part[n * rows_m + r];",
-            "    } else {",
-            "        for (i64 e = 0; e < nb * F; e++) out[e] += part[e];",
-            "    }",
-            "}",
-        ]
-    else:
-        body += [
-            "const double *w = (const double *)ptrs[6];",
-            "mm(gemm, gemv, dot, nb, IN, F, x, w, out);",
-        ]
     if hb or epi:
         body += [
             "for (i64 n = 0; n < nb; n++) {",

@@ -15,10 +15,11 @@ once:
   wherever their input buffer has no other reader;
 * with :class:`PlanConfig` (the default), dead quantized filters
   (``k_i = 0`` — all-zero rows) are physically eliminated and the channel
-  slimming propagated downstream (:mod:`repro.infer.prune`), shift-plane
-  kernels are attached where the quantized structure supports them
-  (:mod:`repro.infer.shift_plane`), and a small calibration pass picks the
-  faster kernel per layer (:mod:`repro.infer.autotune`).
+  slimming propagated downstream (:mod:`repro.infer.prune`).
+
+Every conv and linear runs one kernel: the im2col GEMM over the
+quantized, BN-folded weight matrix.  Nothing at plan time is decided by a
+timing, so two builds of the same model are identical.
 
 Execution uses an :class:`ExecutionContext` of preallocated scratch buffers
 (im2col columns, padded inputs, matmul outputs) that are reused across
@@ -29,7 +30,7 @@ no autograd graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -54,9 +55,6 @@ from repro.quant.activations import QuantizedActivation
 from repro.quant.qlayers import QConv2d, QLinear
 from repro.utils.profiler import active_profiler
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.infer.shift_plane import ShiftPlaneSet
-
 __all__ = [
     "ExecutionContext",
     "ExecutionPlan",
@@ -66,15 +64,16 @@ __all__ = [
     "plan_dtype",
 ]
 
-_KERNELS = ("auto", "dense", "shift_plane")
 _ALL_DEAD = ("keep", "error")
 _COMPUTE_DTYPES = ("float", "int8")
-_BACKENDS = ("auto", "native", "numpy")
+_BACKENDS = ("auto", "numpy")
+#: Batch size of the synthetic calibration input an int8 plan is built on.
+_CALIBRATION_BATCH = 16
 
 
 @dataclass(frozen=True)
 class PlanConfig:
-    """Knobs for plan compilation: pruning, kernels, tracing, dtype, backend.
+    """Knobs for plan compilation: pruning, tracing, dtype, backend.
 
     Every native kernel runs serially within one call.  Parallelism comes
     from running requests side by side (:mod:`repro.infer.pool` shards,
@@ -90,16 +89,6 @@ class PlanConfig:
             ``"keep"`` leaves the layer in place as a constant producer
             (passthrough), ``"error"`` raises
             :class:`~repro.errors.CompileError`.
-        kernel: Per-layer compute kernel: ``"dense"`` forces the plain
-            im2col GEMM everywhere, ``"shift_plane"`` forces the
-            power-of-two plane decomposition wherever the quantizer
-            supports it, and ``"auto"`` (default) builds shift planes for
-            layers that still carry dead rows after pruning and lets the
-            calibration pass pick the faster kernel per layer.
-        autotune_batch: Batch size of the synthetic calibration input used
-            to time kernel candidates (``"auto"`` only).
-        autotune_reps: Timing repetitions per kernel candidate; the best
-            (minimum) time wins.
         trace: Execute through shape-specialized traced programs
             (:mod:`repro.infer.trace` / :mod:`repro.infer.fuse`): the plan
             is recorded once per input shape into generated fused kernels
@@ -119,30 +108,23 @@ class PlanConfig:
             conv/linear kernels.  Requires the model to declare
             ``in_channels``/``image_size`` (or an explicit calibration
             batch via :func:`repro.infer.intq.build_intq_program`).
-        backend: Kernel execution backend.  ``"numpy"`` forces the numpy
-            codegen everywhere; ``"native"`` uses the C backend
-            (:mod:`repro.infer.native`) wherever it applies, falling back
-            per kernel where it cannot; ``"auto"`` (default) does the same
-            but additionally lets autotune time C against numpy per
-            candidate layer and record the winner.  Native kernels
-            self-verify bitwise against the numpy codegen on first call, so
-            every setting produces identical results — on hosts without a C
-            toolchain all three behave like ``"numpy"`` (logged once).
+        backend: Kernel execution backend.  ``"auto"`` (default) runs the
+            C backend (:mod:`repro.infer.native`) wherever a kernel binds
+            and passes its first-call bitwise self-check against the numpy
+            codegen, and the numpy codegen everywhere else; ``"numpy"``
+            forces the numpy codegen, the bitwise reference.  Both settings
+            produce identical results; on hosts without a C toolchain
+            ``"auto"`` behaves like ``"numpy"`` (logged once).
     """
 
     prune: bool = True
     all_dead: str = "keep"
-    kernel: str = "auto"
-    autotune_batch: int = 16
-    autotune_reps: int = 3
     trace: bool = True
     fuse: bool = True
     dtype: str = "float"
     backend: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.kernel not in _KERNELS:
-            raise ConfigurationError(f"unknown kernel {self.kernel!r}; use one of {_KERNELS}")
         if self.backend not in _BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; use one of {_BACKENDS}"
@@ -155,8 +137,6 @@ class PlanConfig:
             raise ConfigurationError(
                 f"unknown all_dead policy {self.all_dead!r}; use one of {_ALL_DEAD}"
             )
-        if self.autotune_batch < 1 or self.autotune_reps < 1:
-            raise ConfigurationError("autotune_batch and autotune_reps must be >= 1")
 
 
 class ExecutionContext:
@@ -225,10 +205,8 @@ def _im2col_single(x: np.ndarray, k: int, s: int, p: int) -> tuple[np.ndarray, i
 class ConvOp:
     """Fused convolution: im2col matmul + folded BN scale/shift epilogue.
 
-    Sparsity-aware extensions (set by the compilation passes, all optional):
+    Sparsity-aware extensions (set by the pruning pass, all optional):
 
-    * ``impl`` selects the compute kernel — ``"dense"`` (one GEMM) or
-      ``"shift_plane"`` (sum of per-level plane GEMMs over ``shift``);
     * ``live_rows`` / ``in_live_cols`` record which original filter rows /
       weight columns survived dead-filter pruning (``None`` = all);
     * ``dead_in_weight2d`` / ``dead_in_consts`` hold the removed input
@@ -246,16 +224,11 @@ class ConvOp:
     kernel: int
     stride: int
     padding: int
-    impl: str = "dense"
-    shift: "ShiftPlaneSet | None" = None
     live_rows: np.ndarray | None = None
     in_live_cols: np.ndarray | None = None
     dead_in_weight2d: np.ndarray | None = None
     dead_in_consts: np.ndarray | None = None
     dead_maps: dict = field(default_factory=dict, repr=False)
-    #: Per-op backend override ("auto" defers to the plan config; autotune
-    #: under backend="auto" writes its measured winner here).
-    backend: str = "auto"
 
     def _dead_bias_map(self, h: int, w: int) -> np.ndarray:
         """(F, oh*ow) constant contribution of the pruned input channels."""
@@ -296,28 +269,7 @@ class ConvOp:
             cols = ctx.buffer(self.index, "cols", (n, c * k * k, oh * ow), x.dtype)
             cols.reshape(n, c, k, k, oh, ow)[...] = windows
         out = ctx.buffer(self.index, "out", (n, f, oh * ow), x.dtype)
-        if self.impl == "shift_plane" and self.shift is not None:
-            out[...] = 0.0
-            for level, plane in enumerate(self.shift.planes):
-                if plane.col_index is None:
-                    sel = cols
-                else:
-                    sel = ctx.buffer(
-                        self.index, f"cols{level}", (n, plane.col_index.size, oh * ow), x.dtype
-                    )
-                    np.take(cols, plane.col_index, axis=1, out=sel)
-                if plane.rows is None:
-                    part = ctx.buffer(self.index, f"part{level}", (n, f, oh * ow), x.dtype)
-                    np.matmul(plane.weight, sel, out=part)
-                    out += part
-                else:
-                    part = ctx.buffer(
-                        self.index, f"part{level}", (n, plane.rows.size, oh * ow), x.dtype
-                    )
-                    np.matmul(plane.weight, sel, out=part)
-                    out[:, plane.rows, :] += part
-        else:
-            np.matmul(self.weight2d, cols, out=out)
+        np.matmul(self.weight2d, cols, out=out)
         if self.bias is not None:
             out += self.bias[:, None]
         if self.dead_in_weight2d is not None:
@@ -329,8 +281,8 @@ class ConvOp:
 class LinearOp:
     """Affine map ``x @ W.T + b`` with the quantized weight cached.
 
-    Carries the same sparsity extensions as :class:`ConvOp` (``impl``,
-    ``shift``, ``live_rows``, ``in_live_cols``); pruned input features need
+    Carries the same sparsity extensions as :class:`ConvOp` (``live_rows``,
+    ``in_live_cols``); pruned input features need
     no bias *map* here — their constant contribution is spatially uniform
     and is folded straight into ``bias`` at prune time.
     """
@@ -340,40 +292,13 @@ class LinearOp:
     dst: int
     weight_t: np.ndarray  # (in, out) — pre-transposed quantized weight
     bias: np.ndarray | None
-    impl: str = "dense"
-    shift: "ShiftPlaneSet | None" = None
     live_rows: np.ndarray | None = None
     in_live_cols: np.ndarray | None = None
-    #: Per-op backend override; see :class:`ConvOp`.
-    backend: str = "auto"
 
     def run(self, ctx: ExecutionContext) -> None:
         x = ctx.slots[self.src]
         out = ctx.buffer(self.index, "out", (x.shape[0], self.weight_t.shape[1]), x.dtype)
-        if self.impl == "shift_plane" and self.shift is not None:
-            out[...] = 0.0
-            for level, plane in enumerate(self.shift.planes):
-                if plane.col_index is None:
-                    sel = x
-                else:
-                    sel = ctx.buffer(
-                        self.index, f"in{level}", (x.shape[0], plane.col_index.size), x.dtype
-                    )
-                    np.take(x, plane.col_index, axis=1, out=sel)
-                if plane.rows is None:
-                    part = ctx.buffer(
-                        self.index, f"part{level}", (x.shape[0], out.shape[1]), x.dtype
-                    )
-                    np.matmul(sel, plane.weight, out=part)
-                    out += part
-                else:
-                    part = ctx.buffer(
-                        self.index, f"part{level}", (x.shape[0], plane.rows.size), x.dtype
-                    )
-                    np.matmul(sel, plane.weight, out=part)
-                    out[:, plane.rows] += part
-        else:
-            np.matmul(x, self.weight_t, out=out)
+        np.matmul(x, self.weight_t, out=out)
         if self.bias is not None:
             out += self.bias
         ctx.slots[self.dst] = out
@@ -617,8 +542,8 @@ class WeightBinding:
     def current_dead(self) -> tuple:
         """Dead-row indices the layer's *current* folded weights would have.
 
-        This is the plan's structural signature: pruning decisions and shift
-        planes were derived from it, so a refresh that changes it (e.g. new
+        This is the plan's structural signature: pruning decisions were
+        derived from it, so a refresh that changes it (e.g. new
         thresholds moving the k histogram) must rebuild the whole plan
         rather than patch arrays into the old channel layout.
         """
@@ -655,7 +580,7 @@ class ExecutionPlan:
         self.bindings = bindings
         self.dtype = np.dtype(dtype)
         self.config = config or PlanConfig()
-        #: Per weighted layer: kernel choice, k histogram, pruned counts…
+        #: Per weighted layer: kernel, k histogram, pruned counts…
         #: (see :func:`_collect_layer_info`); surfaced through
         #: :meth:`summary` into ``/metrics``.
         self.layer_info = layer_info or []
@@ -677,7 +602,7 @@ class ExecutionPlan:
         return len(self.ops)
 
     def summary(self) -> dict:
-        """Plan metadata: kernel choices, k histograms, pruning counts."""
+        """Plan metadata: kernels, k histograms, pruning counts."""
         kernels: dict[str, int] = {}
         k_hist: list[int] = []
         filters_total = pruned_total = dead_remaining = 0
@@ -717,11 +642,10 @@ class ExecutionPlan:
             "config": {
                 "prune": self.config.prune,
                 "all_dead": self.config.all_dead,
-                "kernel": self.config.kernel,
                 "trace": self.config.trace,
                 "fuse": self.config.fuse,
                 "dtype": self.config.dtype,
-                "backend": getattr(self.config, "backend", "auto"),
+                "backend": self.config.backend,
             },
             "native": native_status,
             "trace": {
@@ -863,17 +787,6 @@ class ExecutionPlan:
             elif isinstance(op, LinearOp):
                 weight_t, bias = _linear_arrays(b.layer, self.dtype)
                 op.weight_t, op.bias = weight_t, bias
-            if op.shift is not None:
-                from repro.infer.shift_plane import build_shift_planes
-
-                op.shift = build_shift_planes(
-                    b.layer,
-                    b.bn,
-                    self.dtype,
-                    live_rows=op.live_rows,
-                    col_index=op.in_live_cols,
-                    linear=isinstance(op, LinearOp),
-                )
             b.built_key = b.current_key()
             b.built_fp = b.current_fp()
             b.built_dead = b.current_dead()
@@ -1115,22 +1028,22 @@ def plan_dtype(model: Module) -> np.dtype:
     return np.dtype(np.float64)
 
 
-def _calibration_shape(model: Module, config: PlanConfig) -> tuple[int, int, int, int] | None:
-    """NCHW shape of the synthetic autotune batch, if the model declares it."""
+def _calibration_shape(model: Module) -> tuple[int, int, int, int] | None:
+    """NCHW shape of the synthetic int8 calibration batch, if the model
+    declares its input."""
     channels = getattr(model, "in_channels", None)
     size = getattr(model, "image_size", None)
     if not isinstance(channels, int) or not isinstance(size, int):
         return None
-    return (config.autotune_batch, channels, size, size)
+    return (_CALIBRATION_BATCH, channels, size, size)
 
 
 def _collect_layer_info(
     ops: list,
     bindings: list[WeightBinding],
     prune_report: dict,
-    autotune_report: dict,
 ) -> list[dict]:
-    """Per-layer plan metadata: kernel choice, k histogram, pruned counts."""
+    """Per-layer plan metadata: kernel, k histogram, pruned counts."""
     layers = []
     prune_layers = prune_report.get("layers", {})
     for b in bindings:
@@ -1146,8 +1059,7 @@ def _collect_layer_info(
             "pruned_filters": built_rows - int(w.shape[0]),
             "pruned_inputs": built_cols - int(w.shape[1]),
             "dead_remaining": int(dead_filter_rows(w).size),
-            "kernel": op.impl,
-            "planes": 0 if op.shift is None else len(op.shift.planes),
+            "kernel": "dense",
         }
         if hasattr(b.layer, "filter_k"):
             k = np.asarray(b.layer.filter_k())
@@ -1155,9 +1067,6 @@ def _collect_layer_info(
         pruned = prune_layers.get(b.op_index)
         if pruned is not None and pruned.get("blocked"):
             entry["blocked"] = pruned["blocked"]
-        tuned = autotune_report.get(b.op_index)
-        if tuned is not None:
-            entry["autotune"] = tuned
         layers.append(entry)
     return layers
 
@@ -1176,11 +1085,10 @@ def compile_network(
     rule.  ``dtype`` defaults to float64, which reproduces eager logits to
     ~1e-13; see :func:`plan_dtype` for the float32 deployment mode.
 
-    After lowering, the sparsity passes run under ``config`` (defaults to
-    :class:`PlanConfig`): dead-filter elimination, shift-plane attachment
-    and — when ``kernel="auto"`` finds candidates — per-layer kernel
-    autotuning on a synthetic calibration batch.  On models with no dead
-    filters all three passes are no-ops and compilation cost is unchanged.
+    After lowering, dead-filter elimination runs under ``config``
+    (defaults to :class:`PlanConfig`); on models with no dead filters it is
+    a no-op.  ``config.dtype == "int8"`` then lowers the plan into its
+    integer-only twin (:mod:`repro.infer.intq`).
     """
     cfg = config or PlanConfig()
     compiler = _Compiler(np.float64 if dtype is None else np.dtype(dtype))
@@ -1196,23 +1104,8 @@ def compile_network(
         from repro.infer.prune import prune_plan
 
         prune_report = prune_plan(compiler.ops, compiler.bindings, out, compiler.dtype, cfg)
-    from repro.infer.shift_plane import attach_shift_planes
-
-    candidates = attach_shift_planes(compiler.ops, compiler.bindings, compiler.dtype, cfg)
     compiler.mark_inplace()
-    autotune_report: dict = {}
-    if cfg.kernel == "auto" and candidates:
-        shape = _calibration_shape(model, cfg)
-        if shape is not None:
-            from repro.infer.autotune import autotune_ops
-
-            autotune_report = autotune_ops(
-                compiler.ops, candidates, shape, compiler.dtype, cfg.autotune_reps,
-                backend=cfg.backend,
-            )
-    layer_info = _collect_layer_info(
-        compiler.ops, compiler.bindings, prune_report, autotune_report
-    )
+    layer_info = _collect_layer_info(compiler.ops, compiler.bindings, prune_report)
     plan = ExecutionPlan(
         compiler.ops,
         out,
@@ -1223,7 +1116,7 @@ def compile_network(
         pruned=prune_report.get("pruned_filters", 0) > 0,
     )
     if cfg.dtype == "int8":
-        shape = _calibration_shape(model, cfg)
+        shape = _calibration_shape(model)
         if shape is None:
             raise CompileError(
                 "PlanConfig(dtype='int8') needs a calibration batch shape; the model "

@@ -198,7 +198,7 @@ class ModelRegistry:
         Each snapshot carries the engine's current plan summary under
         ``"plan"`` — kernel choices, k histogram, pruned-filter counts, and
         the traced-program block (fused-op counts, buffers eliminated,
-        peak intermediate bytes, kernel/autotune cache hit counters) — so
+        peak intermediate bytes, kernel cache hit counters) — so
         ``/metrics`` exposes both the sparsity state and the compilation
         state the model serves with (and reflects structural rebuilds and
         traced-program recompiles after a hot weight refresh).

@@ -36,22 +36,9 @@ class TestParity:
         assert set(record["accum_dtypes"]) <= {"int32", "int64"}
         assert record["shift_ops"] > 0
 
-    def test_kernel_variants_bitwise_equal(self):
-        """The gemm and shift-plane integer kernels realise the same
-        arithmetic: forcing either must give bit-identical logits."""
-        model = build_small_network(4)
-        images = sample_images(6, seed=11)
-        gemm = InferenceEngine(
-            model, config=PlanConfig(dtype="int8", kernel="dense")
-        ).predict_logits(images)
-        shift = InferenceEngine(
-            model, config=PlanConfig(dtype="int8", kernel="shift_plane")
-        ).predict_logits(images)
-        np.testing.assert_array_equal(gemm, shift)
-
     def test_repeated_engine_builds_identical(self):
         """Two independently compiled int8 engines agree bitwise (the
-        calibration pass and autotuner must be deterministic)."""
+        calibration pass must be deterministic)."""
         images = sample_images(4, seed=3)
         a = InferenceEngine(build_small_network(5), config=INT8).predict_logits(images)
         b = InferenceEngine(build_small_network(5), config=INT8).predict_logits(images)

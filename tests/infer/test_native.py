@@ -2,10 +2,9 @@
 
 The one native contract: every native kernel variant must be *bitwise*
 identical to the numpy codegen it replaces — the 8 Table-1 configs plus
-generated nets outside those sizes, x {dense, shift_plane} x {float64,
-int8} — and the backend must degrade
-to numpy (never crash) when the toolchain is missing or a cached binary
-is corrupt.  Parity runs even on a toolchain-free host (both sides are
+generated nets outside those sizes, x {float64, int8} — and the backend
+must degrade to numpy (never crash) when the toolchain is missing or a
+cached binary is corrupt.  Parity runs even on a toolchain-free host (both sides are
 then numpy and trivially equal); the "native actually executed"
 assertions are gated on :func:`binding.available`.
 """
@@ -29,7 +28,8 @@ from repro.quant.schemes import paper_schemes
 from tests.infer.conftest import build_small_network, randomize_bn_stats, sample_images
 
 ALL_CONFIGS = tuple(range(1, 9))
-KERNELS = ("dense", "shift_plane")
+# The one conv/linear kernel; every plan layer reports it by name.
+KERNELS = ("dense",)
 
 # Generated nets outside the Table-1 sizes: (structure, depth, width, px,
 # scheme).  vgg7-w8-8px-Full is the shape on which the removed tiled
@@ -86,16 +86,13 @@ class TestBitwiseParity:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("network_id", ALL_CONFIGS + tuple(GENERATED_FLOAT64))
     def test_float64(self, network_id, kernel):
-        """backend="native" reproduces backend="numpy" byte-for-byte."""
+        """backend="auto" reproduces backend="numpy" byte-for-byte."""
         model, images = _net_and_images(network_id, 5, GENERATED_FLOAT64)
-        want = InferenceEngine(
-            model, config=PlanConfig(kernel=kernel, backend="numpy")
-        ).predict_logits(images)
-        native_engine = InferenceEngine(
-            model, config=PlanConfig(kernel=kernel, backend="native")
-        )
+        want = InferenceEngine(model, config=PlanConfig(backend="numpy")).predict_logits(images)
+        native_engine = InferenceEngine(model, config=PlanConfig(backend="auto"))
         got = native_engine.predict_logits(images)
         assert _bitwise_equal(got, want)
+        assert set(native_engine.plan_summary()["kernels"]) == {kernel}
         if NATIVE_OK:
             counts = _traced_backend_counts(native_engine)
             assert counts.get("native", 0) > 0, counts
@@ -106,13 +103,12 @@ class TestBitwiseParity:
         """The integer program's native kernels are exact: same bits."""
         model, images = _net_and_images(network_id, 4, GENERATED_INT8)
         want = InferenceEngine(
-            model, config=PlanConfig(dtype="int8", kernel=kernel, backend="numpy")
+            model, config=PlanConfig(dtype="int8", backend="numpy")
         ).predict_logits(images)
-        native_engine = InferenceEngine(
-            model, config=PlanConfig(dtype="int8", kernel=kernel, backend="native")
-        )
+        native_engine = InferenceEngine(model, config=PlanConfig(dtype="int8", backend="auto"))
         got = native_engine.predict_logits(images)
         assert _bitwise_equal(got, want)
+        assert set(native_engine.plan_summary()["kernels"]) == {kernel}
         if NATIVE_OK:
             matmuls = [
                 op
@@ -125,7 +121,7 @@ class TestBitwiseParity:
         """Kernels are rebound per batch shape; every binding must agree."""
         model = build_small_network(4)
         images = sample_images(16, seed=2)
-        engine = InferenceEngine(model, config=PlanConfig(backend="native"))
+        engine = InferenceEngine(model, config=PlanConfig(backend="auto"))
         ref = engine.predict_logits(images, batch_size=16)
         for bs in (1, 3, 16):
             assert _bitwise_equal(engine.predict_logits(images, batch_size=bs), ref)
@@ -142,7 +138,7 @@ class TestBitwiseParity:
         """
         model, images = _net_and_images("vgg7-w8-8px-Full", 17, GENERATED_FLOAT64)
         reference = InferenceEngine(model, config=PlanConfig(backend="numpy"))
-        engine = InferenceEngine(model, config=PlanConfig(backend="native"))
+        engine = InferenceEngine(model, config=PlanConfig(backend="auto"))
         failures = binding.status()["check_failures"]
         for bs in (1, 3, 8, 17):
             want = reference.predict_logits(images, batch_size=bs)
@@ -155,7 +151,7 @@ class TestBitwiseParity:
         """Same engine, same batch, many runs: a single output digest."""
         model = build_small_network(4)
         images = sample_images(8, seed=7)
-        engine = InferenceEngine(model, config=PlanConfig(backend="native"))
+        engine = InferenceEngine(model, config=PlanConfig(backend="auto"))
         digests = {engine.predict_logits(images).tobytes() for _ in range(5)}
         assert len(digests) == 1
 
@@ -258,7 +254,7 @@ class TestEdgeValues:
         weight = rng.normal(0.0, 0.5, (f, c * 9))
         weight[:, ::4] = 0.0
         op = ConvOp(0, 0, 1, weight, rng.normal(0.0, 0.1, f), kernel=3, stride=1, padding=1)
-        scratch_reqs = kernels.producer_scratch("conv", op, x.shape, "dense", _LRELU_AQ)
+        scratch_reqs = kernels.producer_scratch("conv", op, x.shape, _LRELU_AQ)
 
         def bind(backend, record):
             out = np.empty((nb, f, h * w))
@@ -267,8 +263,7 @@ class TestEdgeValues:
                 for r in scratch_reqs
             }
             thunk = kernels.bind_producer(
-                "conv", op, x, out, scratch, "dense", _LRELU_AQ,
-                np.dtype(np.float64), backend, record,
+                "conv", op, x, out, scratch, _LRELU_AQ, np.dtype(np.float64), backend, record
             )
             return thunk, out
 
@@ -282,7 +277,7 @@ class TestForkHygiene:
         bound native kernels and must produce the parent's exact bytes."""
         model = build_small_network(4)
         images = sample_images(6, seed=11)
-        engine = InferenceEngine(model, config=PlanConfig(backend="native"))
+        engine = InferenceEngine(model, config=PlanConfig(backend="auto"))
         parent_out = engine.predict_logits(images).copy()
 
         r, w = os.pipe()
@@ -346,10 +341,11 @@ class TestFallback:
         assert counts.get("numpy", 0) > 0
 
     def test_missing_toolchain_forced_native_still_serves(self, no_toolchain):
-        """Even an explicit backend="native" degrades instead of raising."""
+        """The default backend degrades on a second structure too, instead
+        of raising."""
         model = build_small_network(6)
         images = sample_images(3, seed=1)
-        engine = InferenceEngine(model, config=PlanConfig(backend="native"))
+        engine = InferenceEngine(model, config=PlanConfig(backend="auto"))
         want = InferenceEngine(
             model, config=PlanConfig(backend="numpy")
         ).predict_logits(images)
@@ -429,48 +425,12 @@ class TestKernelCacheLRU:
         assert builds == ["srcA", "srcB"]  # spec0 re-entry reused srcA
 
 
-class TestAutotunePersistence:
-    @pytest.fixture(autouse=True)
-    def hermetic_cache(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        yield
-
-    def test_roundtrip_across_instances(self):
-        key = ("conv", (16, 8, 8), "dense", 1)
-        first = kernels._AutotuneCache()
-        first.put(key, {"impl": "dense", "backend": "native"})
-        assert os.path.exists(first.disk_path())
-        fresh = kernels._AutotuneCache()
-        assert fresh.get(key) == {"impl": "dense", "backend": "native"}
-
-    def test_corrupt_decision_file_is_dropped(self):
-        probe = kernels._AutotuneCache()
-        path = probe.disk_path()
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        # Not JSON at all; and valid JSON holding a non-dict entry.
-        for body in ("{not json", '{"(\'x\',)": 5}'):
-            with open(path, "w") as fh:
-                fh.write(body)
-            fresh = kernels._AutotuneCache()
-            assert fresh.get(("anything",)) is None
-            assert fresh.get(("x",)) is None
-            assert not os.path.exists(path)  # corrupt file unlinked
-
-    def test_clear_removes_decision_file(self):
-        cache = kernels._AutotuneCache()
-        cache.put(("k",), {"impl": "dense"})
-        assert os.path.exists(cache.disk_path())
-        cache.clear()
-        assert not os.path.exists(cache.disk_path())
-
-
 class TestCacheInfo:
     def test_cache_info_shape(self):
         info = kernels.cache_info()
         assert set(info["kernels"]) >= {
             "hits", "misses", "specs", "compiled_sources", "evictions", "max_entries"
         }
-        assert "hits" in info["autotune"]
         if NATIVE_OK:
             assert "native" in info
             assert "cache_dir" in info["native"]

@@ -4,9 +4,8 @@ Kernels run serially; the only threads left are the ``"thread"`` backend
 of :func:`~repro.infer.pool.run_sharded`, which runs whole batches
 concurrently.  Its contract: ``predict_logits(..., workers=N)`` is
 **bitwise identical** to the single-threaded call for every worker count
-in {1, 2, 4} — across all 8 Table-1 configs, both kernels (dense /
-shift_plane) and both compute dtypes (float64 / int8) — and at any batch
-size.  With a C toolchain the shards run the native kernels from several
+in {1, 2, 4} — across all 8 Table-1 configs and both compute dtypes
+(float64 / int8) — and at any batch size.  With a C toolchain the shards run the native kernels from several
 threads at once; without one they run the numpy codegen.
 """
 
@@ -20,7 +19,8 @@ from repro.infer import InferenceEngine, PlanConfig
 from tests.infer.conftest import build_small_network, sample_images
 
 ALL_CONFIGS = tuple(range(1, 9))
-KERNELS = ("dense", "shift_plane")
+# The one conv/linear kernel; every plan layer reports it by name.
+KERNELS = ("dense",)
 THREAD_COUNTS = (1, 2, 4)
 
 
@@ -36,7 +36,8 @@ class TestThreadCountInvariance:
         """workers=1/2/4 and the serial call agree byte-for-byte."""
         model = build_small_network(network_id)
         images = sample_images(5, seed=network_id)
-        engine = InferenceEngine(model, config=PlanConfig(kernel=kernel))
+        engine = InferenceEngine(model)
+        assert set(engine.plan_summary()["kernels"]) == {kernel}
         serial = engine.predict_logits(images, batch_size=2)
         for t in THREAD_COUNTS:
             out = engine.predict_logits(images, batch_size=2, workers=t)
@@ -48,7 +49,8 @@ class TestThreadCountInvariance:
         """The integer program under the thread pool is exact: same bits."""
         model = build_small_network(network_id)
         images = sample_images(4, seed=network_id)
-        engine = InferenceEngine(model, config=PlanConfig(dtype="int8", kernel=kernel))
+        engine = InferenceEngine(model, config=PlanConfig(dtype="int8"))
+        assert set(engine.plan_summary()["kernels"]) == {kernel}
         serial = engine.predict_logits(images, batch_size=1)
         for t in THREAD_COUNTS:
             out = engine.predict_logits(images, batch_size=1, workers=t)

@@ -61,7 +61,8 @@ def test_metrics_snapshot_carries_plan_summary():
     assert plan["pruned_filters_total"] > 0
     assert sum(plan["kernels"].values()) == len(plan["layers"])
     assert plan["k_hist"][0] > 0  # the k_i histogram shows the dead filters
-    assert plan["config"]["kernel"] == "auto"
+    assert set(plan["kernels"]) == {"dense"}
+    assert plan["config"]["backend"] == "auto"
 
 
 def test_int8_refresh_races_concurrent_predicts_without_torn_outputs():
