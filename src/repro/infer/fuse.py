@@ -14,10 +14,11 @@ passes, in order:
    kernel library, value not the program output, no alias in between.
 3. **Dead-value elimination** (``PlanConfig.fuse``) — nodes whose outputs
    are never read (and aren't the program output) are dropped.
-4. **Batch blocking** — every node kind except ``linear``/``fallback`` is
-   per-sample independent (numpy's batched ``matmul`` runs one GEMM per
-   sample, so splitting the batch is *bitwise invariant*); nodes before the
-   first non-blockable one execute in cache-sized batch blocks so the whole
+4. **Batch blocking** — every node kind except ``fallback`` is per-sample
+   independent (numpy's batched ``matmul`` runs one GEMM per sample, and
+   ``linear`` one GEMV per row, so splitting the batch is *bitwise
+   invariant*); nodes before the first ``linear`` (the classifier head) or
+   ``fallback`` execute in cache-sized batch blocks so the whole
    working set of the conv trunk stays resident instead of streaming
    full-batch intermediates through memory once per op.
 5. **Register allocation** — liveness-based slot reuse through

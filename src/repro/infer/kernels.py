@@ -415,8 +415,9 @@ def bind_producer(
             flags.append("dead")
         shape_key = (x.shape[1:], op.weight2d.shape, op.kernel, op.stride, op.padding)
     else:  # linear
-        args = {"x": x, "out": out, "w": op.weight_t}
-        lines.append("np.matmul(x, w, out=out)")
+        # Row by row, as LinearOp.run: batch-invariant bits.
+        args = {"x": x[:, None, :], "out": out, "out3": out[:, None, :], "w": op.weight_t}
+        lines.append("np.matmul(x, w, out=out3)")
         if op.bias is not None:
             args["bias"] = op.bias
             lines.append("np.add(out, bias, out=out)")

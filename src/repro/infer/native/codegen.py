@@ -315,7 +315,9 @@ def conv_source(
 
 
 def linear_source(epi: tuple, ilp64: bool, hb: bool = True, consts: dict | None = None) -> str:
-    """linear producer: one whole-batch GEMM (numpy's layout: ``x @ w``).
+    """linear producer: one GEMV per row (numpy's layout: ``x @ w``), like
+    the numpy kernel's batched ``(n, 1, in)`` matmul, so each row's bits
+    are independent of the batch it arrived in.
 
     ``hb`` (bias presence, a spec flag) is baked in like the conv flags.
     """
@@ -330,7 +332,8 @@ def linear_source(epi: tuple, ilp64: bool, hb: bool = True, consts: dict | None 
         "(void)bias; (void)dims[3];",
         "double v, t; (void)t;",
         "const double *w = (const double *)ptrs[6];",
-        "mm(gemm, gemv, dot, nb, IN, F, x, w, out);",
+        "for (i64 n = 0; n < nb; n++)",
+        "    mm(gemm, gemv, dot, 1, IN, F, x + n * IN, w, out + n * F);",
     ]
     if hb or epi:
         body += [

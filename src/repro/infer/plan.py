@@ -281,6 +281,11 @@ class ConvOp:
 class LinearOp:
     """Affine map ``x @ W.T + b`` with the quantized weight cached.
 
+    The product runs one vector-matrix GEMV per row (a batched matmul over
+    ``(n, 1, in)``), never one whole-batch GEMM: OpenBLAS picks its GEMM
+    kernel by the row count, so a batch GEMM would make each row's bits
+    depend on which rows shared its batch.
+
     Carries the same sparsity extensions as :class:`ConvOp` (``live_rows``,
     ``in_live_cols``); pruned input features need
     no bias *map* here — their constant contribution is spatially uniform
@@ -298,7 +303,7 @@ class LinearOp:
     def run(self, ctx: ExecutionContext) -> None:
         x = ctx.slots[self.src]
         out = ctx.buffer(self.index, "out", (x.shape[0], self.weight_t.shape[1]), x.dtype)
-        np.matmul(x, self.weight_t, out=out)
+        np.matmul(x[:, None, :], self.weight_t, out=out[:, None, :])
         if self.bias is not None:
             out += self.bias
         ctx.slots[self.dst] = out

@@ -8,7 +8,7 @@ ids.  The result is a linear program with explicit dataflow, which is what
 the optimizer in :mod:`repro.infer.fuse` needs to reason about epilogue
 fusion legality (single-reader intermediates), buffer lifetimes (liveness
 intervals over node positions) and batch-blocking legality (every node kind
-recorded here except ``linear``/``fallback`` is per-sample independent).
+recorded here except ``fallback`` is per-sample independent).
 
 Tracing is *total or nothing*: any op the lowering doesn't understand, any
 shape that doesn't propagate cleanly (and any exception at all — tracing

@@ -131,17 +131,16 @@ class TestBitwiseParity:
         batch; a sample that read its predecessor's columns would fail the
         self-check at every batch size > 1, including a ragged tail.
 
-        The reference is numpy at the *same* batch size: on this net the
-        final linear's OpenBLAS GEMM rounds differently as its row count
-        changes, so even numpy's bits depend on the batch size.  A
-        demoted kernel would still match numpy, hence the failure count.
+        The reference is numpy at one batch size: every kernel, the final
+        linear included, is batch-invariant.  A demoted kernel would still
+        match numpy, hence the failure count.
         """
         model, images = _net_and_images("vgg7-w8-8px-Full", 17, GENERATED_FLOAT64)
         reference = InferenceEngine(model, config=PlanConfig(backend="numpy"))
         engine = InferenceEngine(model, config=PlanConfig(backend="auto"))
         failures = binding.status()["check_failures"]
+        want = reference.predict_logits(images, batch_size=17)
         for bs in (1, 3, 8, 17):
-            want = reference.predict_logits(images, batch_size=bs)
             assert _bitwise_equal(engine.predict_logits(images, batch_size=bs), want), bs
         assert binding.status()["check_failures"] == failures
         if NATIVE_OK:

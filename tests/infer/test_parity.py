@@ -10,11 +10,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.infer import InferenceEngine, compile_network, plan_dtype
+from repro.infer import InferenceEngine, PlanConfig, compile_network, plan_dtype
 from repro.infer.plan import AffineOp
+from repro.models.registry import build_network
 from repro.quant.schemes import paper_schemes
 
-from tests.infer.conftest import build_small_network, eager_logits, sample_images
+from tests.infer.conftest import (
+    NUM_CLASSES,
+    WIDTH_SCALE,
+    build_small_network,
+    eager_logits,
+    randomize_bn_stats,
+    sample_images,
+)
 
 PARITY_ATOL = 1e-5
 
@@ -68,6 +76,42 @@ def test_parity_is_batch_size_invariant():
     ref = engine.predict_logits(images, batch_size=23)
     for bs in (1, 4, 16, 64):
         np.testing.assert_array_equal(engine.predict_logits(images, batch_size=bs), ref)
+
+
+def _full_scheme_net(network_id: int, px: int):
+    model = build_network(
+        network_id,
+        paper_schemes()["Full"],
+        num_classes=NUM_CLASSES,
+        image_size=px,
+        width_scale=WIDTH_SCALE[network_id],
+        rng=network_id,
+    )
+    randomize_bn_stats(model, np.random.default_rng(px))
+    model.eval()
+    return model
+
+
+@pytest.mark.parametrize("trace", [True, False], ids=["trace", "interp"])
+@pytest.mark.parametrize("backend", ["numpy", "auto"])
+@pytest.mark.parametrize("network_id, px", [(1, 8), (2, 9), (4, 16), (5, 16)])
+def test_full_scheme_logits_are_engine_batch_invariant(network_id, px, backend, trace):
+    """A served answer must not depend on which requests share its batch.
+
+    Full-scheme (float-weight) nets leave nothing on a quantization grid,
+    so any batch-dependent GEMM kernel choice would show in the logits'
+    last bits — as the classifier ``linear`` once did through OpenBLAS's
+    M-dependent kernels.
+    """
+    model = _full_scheme_net(network_id, px)
+    images = np.random.default_rng(network_id).normal(0.0, 1.0, (17, 3, px, px))
+    engine = InferenceEngine(model, config=PlanConfig(backend=backend, trace=trace))
+    want = engine.predict_logits(images, batch_size=17)
+    for bs in (1, 3, 8):
+        got = engine.predict_logits(images, batch_size=bs)
+        assert got.tobytes() == want.tobytes(), (
+            f"batch {bs} vs 17: max diff {np.max(np.abs(got - want)):.3e}"
+        )
 
 
 def test_float32_deployment_mode():
