@@ -410,7 +410,7 @@ class IntConvOp:
     out_dtype: str
     flags: tuple
     consts: dict = field(repr=False)
-    backend: str = "auto"
+    backend: str  # "native" (self-checked on first call) or "numpy"
 
     def run(self, ctx: ExecutionContext) -> None:
         x = ctx.slots[self.src]
@@ -467,7 +467,7 @@ class IntLinearOp:
     out_dtype: str
     flags: tuple
     consts: dict = field(repr=False)
-    backend: str = "auto"
+    backend: str  # "native" (self-checked on first call) or "numpy"
 
     def run(self, ctx: ExecutionContext) -> None:
         x = ctx.slots[self.src]

@@ -22,6 +22,9 @@ WIDTH_SCALE = {1: 0.25, 2: 0.125, 3: 0.0625, 4: 0.5, 5: 0.25, 6: 0.125, 7: 0.062
 IMAGE_SIZE = 16
 NUM_CLASSES = 10
 
+#: The one conv/linear kernel; every plan layer reports it by name.
+KERNELS = ("dense",)
+
 
 def randomize_bn_stats(model: QuantizedNetwork, rng: np.random.Generator) -> None:
     """Give every BN layer non-trivial affine params and running statistics.

@@ -25,11 +25,9 @@ from repro.models.configs import NetworkConfig
 from repro.models.registry import build_from_config
 from repro.quant.schemes import paper_schemes
 
-from tests.infer.conftest import build_small_network, randomize_bn_stats, sample_images
+from tests.infer.conftest import KERNELS, build_small_network, randomize_bn_stats, sample_images
 
 ALL_CONFIGS = tuple(range(1, 9))
-# The one conv/linear kernel; every plan layer reports it by name.
-KERNELS = ("dense",)
 
 # Generated nets outside the Table-1 sizes: (structure, depth, width, px,
 # scheme).  vgg7-w8-8px-Full is the shape on which the removed tiled

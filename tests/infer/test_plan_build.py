@@ -59,9 +59,8 @@ class TestPlanConfig:
         names = [f.name for f in dataclasses.fields(PlanConfig)]
         assert names == ["prune", "all_dead", "trace", "fuse", "dtype", "backend"]
 
-    @pytest.mark.parametrize("backend", ["native", "shift_plane", ""])
+    @pytest.mark.parametrize("backend", ["native", ""])
     def test_backend_is_auto_or_numpy(self, backend):
-        assert PlanConfig(backend="numpy").backend == "numpy"
         with pytest.raises(ConfigurationError):
             PlanConfig(backend=backend)
 
@@ -75,8 +74,7 @@ class TestSummaryKeysPerfbenchReads:
         engine = InferenceEngine(build_small_network(4), config=PlanConfig(dtype=dtype))
         engine.predict_logits(sample_images(3))
         summary = engine.plan_summary()
-        for key in ("bound", "declined", "check_failures"):
-            assert isinstance(summary["native"].get(key, 0), int)
+        assert {"bound", "declined", "check_failures"} <= set(summary["native"])
         kernels = summary["trace"]["cache"]["kernels"]
         assert {"misses", "compiled_sources"} <= set(kernels)
         assert summary["trace"]["peak_intermediate_bytes"] >= 0

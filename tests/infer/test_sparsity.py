@@ -26,6 +26,7 @@ from repro.quant.sparsify import dead_filter_fraction, sparsify_model
 
 from tests.infer.conftest import (
     IMAGE_SIZE,
+    KERNELS,
     NUM_CLASSES,
     WIDTH_SCALE,
     build_small_network,
@@ -37,8 +38,6 @@ from tests.infer.conftest import (
 PARITY_ATOL = 1e-5
 
 ALL_CONFIGS = list(range(1, 9))
-# The one conv/linear kernel; every plan layer reports it by name.
-KERNELS = ("dense",)
 
 
 def sparsified_network(network_id: int, dead_fraction: float = 0.4, **kwargs):

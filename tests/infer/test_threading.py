@@ -16,11 +16,9 @@ import pytest
 
 from repro.infer import InferenceEngine, PlanConfig
 
-from tests.infer.conftest import build_small_network, sample_images
+from tests.infer.conftest import KERNELS, build_small_network, sample_images
 
 ALL_CONFIGS = tuple(range(1, 9))
-# The one conv/linear kernel; every plan layer reports it by name.
-KERNELS = ("dense",)
 THREAD_COUNTS = (1, 2, 4)
 
 

@@ -21,13 +21,11 @@ from repro.infer import fuse, kernels
 from repro.infer.plan import ExecutionContext
 from repro.quant.sparsify import sparsify_model
 
-from tests.infer.conftest import build_small_network, eager_logits, sample_images
+from tests.infer.conftest import KERNELS, build_small_network, eager_logits, sample_images
 
 PARITY_ATOL = 1e-5
 
 ALL_CONFIGS = list(range(1, 9))
-# The one conv/linear kernel; every plan layer reports it by name.
-KERNELS = ("dense",)
 
 # The interpreter reference: same plan passes (pruning), no tracing.
 def _interp(trace_cfg: PlanConfig) -> PlanConfig:
